@@ -29,19 +29,16 @@ from .ladder import (
     ladder_intensity,
     step_ladder,
 )
-from .observables import (
-    EmissionRecord,
-    emission_arrays,
-    energy_strong,
-    intensity_strong,
-    trajectory_to_emission,
-)
+from .observables import emission_arrays
 from .params import (
     DerivedParams,
     Regime,
     SampleParams,
+    characteristic_time,
     classify_regime,
+    delay_time,
     derive_params,
+    peak_intensity,
 )
 from .pulses import (
     PulseMetrics,
@@ -57,16 +54,13 @@ from .runner import (
     run_config,
     run_preset,
 )
-from .strong import integrate_cartesian, integrate_strong, rhs_strong
+from .strong import integrate_cartesian, integrate_strong
 from .weak import (
-    characteristic_time,
-    delay_time,
     integrate_weak_ode,
-    peak_intensity,
     sample_weak_solution,
+    weak_angles,
     weak_energy,
     weak_intensity,
-    weak_solution,
 )
 
 __version__ = "0.1.0"

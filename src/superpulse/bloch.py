@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterDomainError, SampleBudgetError
-from .params import DerivedParams, Regime, SampleParams, derive_params
+from .params import DerivedParams, Regime, SampleParams, derive_params, is_finite
 
 # canonical initial azimuth: sin(phi)^2 = 1, maximal initial emission channel
 DEFAULT_PHI0 = math.pi / 2
@@ -32,6 +32,8 @@ class BlochState:
         if not -1e-12 <= self.theta <= math.pi + 1e-12:
             raise ParameterDomainError("theta", f"must lie in [0, pi], got {self.theta!r}")
         object.__setattr__(self, "theta", min(max(self.theta, 0.0), math.pi))
+        if not is_finite(self.phi):
+            raise ParameterDomainError("phi", f"must be finite, got {self.phi!r}")
         if self.t < 0:
             raise ParameterDomainError("t", f"must be non-negative, got {self.t!r}")
 
@@ -45,12 +47,16 @@ class IntegrationControl:
     max_step: float | None = None  # extra cap on top of the fast-phase resolution cap
 
     def __post_init__(self):
-        if not self.rtol > 0:
-            raise ParameterDomainError("rtol", f"must be positive, got {self.rtol!r}")
-        if not self.atol > 0:
-            raise ParameterDomainError("atol", f"must be positive, got {self.atol!r}")
-        if self.max_samples < 1:
+        for name in ("rtol", "atol"):
+            value = getattr(self, name)
+            if not (is_finite(value) and value > 0):
+                raise ParameterDomainError(name, f"must be finite and positive, got {value!r}")
+        if not (is_finite(self.max_samples) and self.max_samples >= 1):
             raise ParameterDomainError("max_samples", "need at least one sample")
+        if self.max_step is not None and not (is_finite(self.max_step) and self.max_step > 0):
+            raise ParameterDomainError(
+                "max_step", f"must be finite and positive, got {self.max_step!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -110,7 +116,7 @@ def envelope_timescale(p: SampleParams, kind: Regime) -> float:
     d = derive_params(p)
     n = float(p.n_atoms)
     if kind.is_weak_like():
-        return 2.0 / (d.gamma_eff * n)
+        return d.tau_c_closed
     half_rate = (n - 1.0) * d.gamma_eff / 2.0
     lock = (n - 1.0) * d.gamma_eff / (4.0 * d.omega_eff)
     if lock < 1.0:
@@ -132,8 +138,8 @@ def output_grid(t_end: float, d: DerivedParams, ctrl: IntegrationControl) -> np.
     the sample budget the grid decimates down to 10 samples per
     tau_1_pred, and past that the request is refused.
     """
-    if t_end < 0:
-        raise ParameterDomainError("t_end", f"must be non-negative, got {t_end!r}")
+    if not (is_finite(t_end) and t_end >= 0):
+        raise ParameterDomainError("t_end", f"must be finite and non-negative, got {t_end!r}")
     if t_end == 0.0:
         return np.zeros(1)
     spacing = min(d.tau_1_pred / 10.0, d.tau_c_pred / 1000.0)

@@ -10,10 +10,7 @@ Exit codes: 0 success, 2 validation error, 3 integration failure,
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import sys
-from pathlib import Path
 
 from .errors import (
     ConfigError,
@@ -23,7 +20,7 @@ from .errors import (
     StepSizeError,
 )
 from .ladder import evolve_ladder
-from .runner import PRESETS, run_config, run_preset
+from .runner import PRESETS, run_config, run_preset, write_oracle
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -59,7 +56,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_run_options(sp: argparse.ArgumentParser):
-    sp.add_argument("--out", default=".", help="output directory")
+    sp.add_argument("--out", default=None,
+                    help="output directory (default: the config's outputs.directory, else .)")
     sp.add_argument("--rtol", type=float, default=None, help="relative tolerance")
     sp.add_argument("--t-end", type=float, default=None, help="window length in gamma*t")
     sp.add_argument("--theta0", type=float, default=None, help="initial polar angle")
@@ -67,41 +65,8 @@ def _add_run_options(sp: argparse.ArgumentParser):
 
 
 def _run_oracle(args) -> int:
-    n = args.n
-    gamma_eff = args.gamma_eff
-    t_end = args.t_end
-    if t_end is None:
-        # the end rungs are the slowest (rate N*gamma_eff); allow full decay
-        t_end = 40.0 * math.log(max(n, 3)) / (n * gamma_eff)
-    run = evolve_ladder(n, gamma_eff, t_end, omega_ratio=args.omega_ratio)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / f"oracle_n{n}_trajectory.csv"
-    rows = ["gamma_t,mean_m,intensity_over_gamma_omega0"]
-    rows.extend(
-        f"{t:.17g},{m:.17g},{i:.17g}"
-        for t, m, i in zip(run.t, run.mean_m, run.intensity)
-    )
-    rows.append("")
-    csv_path.write_text("\n".join(rows))
-
-    import numpy as np
-
-    integrated = float(np.trapezoid(run.intensity, run.t))
-    summary = {
-        "n_atoms": n,
-        "gamma_eff": gamma_eff,
-        "omega_ratio": args.omega_ratio,
-        "t_end": t_end,
-        "peak_intensity": float(run.intensity.max()),
-        "peak_time": float(run.t[int(np.argmax(run.intensity))]),
-        "integrated_intensity": integrated,
-        "quanta_emitted": float(run.mean_m[0] - run.mean_m[-1]),
-        "final_mean_m": float(run.mean_m[-1]),
-    }
-    (out / f"oracle_n{n}_summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    )
+    run = evolve_ladder(args.n, args.gamma_eff, args.t_end, omega_ratio=args.omega_ratio)
+    csv_path = write_oracle(args.out, run, args.n, args.gamma_eff, args.omega_ratio)
     print(f"oracle: wrote {csv_path}")
     return EXIT_OK
 
@@ -109,29 +74,17 @@ def _run_oracle(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "preset":
-            result = run_preset(
-                args.name,
-                out_dir=args.out,
-                rtol=args.rtol,
-                t_end=args.t_end,
-                theta0=args.theta0,
-                phi0=args.phi0,
-            )
-            print(f"{args.name}: wrote {result.trajectory_path} and {result.metrics_path}")
-        elif args.command == "run":
-            results = run_config(
-                args.config,
-                out_dir=args.out,
-                rtol=args.rtol,
-                t_end=args.t_end,
-                theta0=args.theta0,
-                phi0=args.phi0,
-            )
-            for r in results:
-                print(f"{r.label}: wrote {r.trajectory_path} and {r.metrics_path}")
-        else:
+        if args.command == "oracle":
             return _run_oracle(args)
+        overrides = dict(
+            out_dir=args.out, rtol=args.rtol, t_end=args.t_end, theta0=args.theta0, phi0=args.phi0
+        )
+        if args.command == "preset":
+            results = [run_preset(args.name, **overrides)]
+        else:
+            results = run_config(args.config, **overrides)
+        for r in results:
+            print(f"{r.label}: wrote {' and '.join(map(str, r.written))}")
     except (ParameterDomainError, ConfigError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -138,18 +138,25 @@ class LadderRun:
 def evolve_ladder(
     n_atoms: int,
     gamma_eff: float,
-    t_end: float,
+    t_end: float | None = None,
     n_out: int = 2001,
     omega_ratio: float = 1.0,
 ) -> LadderRun:
     """Run the cascade from the fully excited state, sampling n_out times.
 
-    Internally substeps at half the positivity bound, which for this
-    linear cascade is also comfortably inside the RK4 accuracy range.
+    The default t_end lets the end rungs, the slowest at rate N*gamma_eff,
+    decay fully.  Internally substeps at half the positivity bound, which
+    for this linear cascade is also comfortably inside the RK4 accuracy
+    range.
     """
-    if t_end <= 0:
-        raise ParameterDomainError("t_end", f"must be positive, got {t_end!r}")
     state = fully_excited(n_atoms)
+    for name, value in (("gamma_eff", gamma_eff), ("omega_ratio", omega_ratio)):
+        if not (math.isfinite(value) and value > 0):
+            raise ParameterDomainError(name, f"must be finite and positive, got {value!r}")
+    if t_end is None:
+        t_end = 40.0 * math.log(max(n_atoms, 3)) / (n_atoms * gamma_eff)
+    if not (math.isfinite(t_end) and t_end > 0):
+        raise ParameterDomainError("t_end", f"must be finite and positive, got {t_end!r}")
     rates = cascade_rates(n_atoms)
     dt_max = 0.5 * MAX_STEP_RATE_PRODUCT / (gamma_eff * rates.max())
 

@@ -7,44 +7,19 @@ their own defining expressions verbatim and differ at O(1/N).
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import weak
-from .bloch import BlochState, BlochTrajectory
-from .params import DerivedParams
-
-
-@dataclass(frozen=True)
-class EmissionRecord:
-    t: float                  # gamma*t
-    energy_scaled: float      # epsilon / omega0
-    intensity_scaled: float   # I / (gamma * omega0)
-
-
-def energy_strong(s: BlochState, d: DerivedParams) -> float:
-    """Representative-atom energy over omega0: ((1+alpha)/2) cos(theta)."""
-    return (1.0 + d.alpha) / 2.0 * math.cos(s.theta)
-
-
-def intensity_strong(s: BlochState, d: DerivedParams) -> float:
-    """Radiated intensity over gamma*omega0.
-
-    (1/4) N (N-1) (1+alpha)^2 sin(theta)^2 sin(phi)^2; the sin(phi)^2
-    factor is what carves the superpulse comb out of the envelope.
-    """
-    n = float(d.n_atoms)
-    st = math.sin(s.theta)
-    sp = math.sin(s.phi)
-    return 0.25 * n * (n - 1.0) * (1.0 + d.alpha) ** 2 * st * st * sp * sp
+from .bloch import BlochTrajectory
 
 
 def emission_arrays(traj: BlochTrajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized (t, energy_scaled, intensity_scaled) for a trajectory.
 
-    Strong trajectories map through the angle observables; weak ones use
+    Strong trajectories map through the angle observables: the energy
+    ((1+alpha)/2) cos(theta) and the intensity
+    (1/4) N (N-1) (1+alpha)^2 sin(theta)^2 sin(phi)^2, whose sin(phi)^2
+    factor carves the superpulse comb out of the envelope.  Weak ones use
     the closed forms on the same grid.
     """
     if traj.kind.is_weak_like():
@@ -59,13 +34,3 @@ def emission_arrays(traj: BlochTrajectory) -> tuple[np.ndarray, np.ndarray, np.n
     intensity = 0.25 * n * (n - 1.0) * enh * enh * st * st * sp * sp
     return traj.t, energy, intensity
 
-
-def trajectory_to_emission(traj: BlochTrajectory) -> list[EmissionRecord]:
-    """Per-sample emission records (empty for a zero-length trajectory)."""
-    if len(traj) == 0:
-        return []
-    t, e, i = emission_arrays(traj)
-    return [
-        EmissionRecord(float(tv), float(ev), float(iv))
-        for tv, ev, iv in zip(t, e, i)
-    ]

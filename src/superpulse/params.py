@@ -18,6 +18,19 @@ STRONG_COUPLING_THRESHOLD = 1e-2
 # Keeps N*(N-1) products exactly representable after float promotion.
 N_ATOMS_CAP = 10**9
 
+# The weak-coupling closed form sin(theta) = sech((t - t0)/tau_c) runs on
+# twice the paper's order-of-magnitude envelope time 1/((1+alpha) N) and
+# delay ln(N)/((1+alpha) N).
+CLOSED_FORM_FACTOR = 2.0
+
+
+def is_finite(x) -> bool:
+    """math.isfinite that also counts integers beyond float range as infinite."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
 
 class Regime(Enum):
     STRONG = "strong"
@@ -49,7 +62,7 @@ class SampleParams:
 
     def __post_init__(self):
         n = self.n_atoms
-        if not float(n).is_integer():
+        if not (is_finite(n) and float(n).is_integer()):
             raise ParameterDomainError("n_atoms", f"must be an integer, got {n!r}")
         n = int(n)
         object.__setattr__(self, "n_atoms", n)
@@ -57,10 +70,10 @@ class SampleParams:
             raise ParameterDomainError("n_atoms", f"need at least 2 atoms, got {n}")
         if n > N_ATOMS_CAP:
             raise ParameterDomainError("n_atoms", f"capped at {N_ATOMS_CAP:.0e}, got {n}")
-        if not self.omega0 > 0:
-            raise ParameterDomainError("omega0", f"must be positive, got {self.omega0!r}")
-        if self.g < 0:
-            raise ParameterDomainError("g", f"must be non-negative, got {self.g!r}")
+        if not (is_finite(self.omega0) and self.omega0 > 0):
+            raise ParameterDomainError("omega0", f"must be finite and positive, got {self.omega0!r}")
+        if not (is_finite(self.g) and self.g >= 0):
+            raise ParameterDomainError("g", f"must be finite and non-negative, got {self.g!r}")
         if self.gamma != 1.0:
             raise ParameterDomainError(
                 "gamma", f"fixed to 1 by convention (times are gamma*t), got {self.gamma!r}"
@@ -94,6 +107,16 @@ class DerivedParams:
     peak_intensity_pred: float      # ((1+alpha) N)^2 / 4
     delay_time_pred: float          # tau_c_pred * ln N
 
+    @property
+    def tau_c_closed(self) -> float:
+        """Weak-coupling closed-form envelope time 2/((1+alpha) N)."""
+        return CLOSED_FORM_FACTOR * self.tau_c_pred
+
+    @property
+    def delay_time_closed(self) -> float:
+        """Weak-coupling closed-form delay t0 = tau_c_closed * ln N."""
+        return CLOSED_FORM_FACTOR * self.delay_time_pred
+
 
 def classify_regime(p: SampleParams) -> Regime:
     """Advisory strong/weak classification from the ratio N*gamma/omega0.
@@ -125,3 +148,18 @@ def derive_params(p: SampleParams) -> DerivedParams:
         peak_intensity_pred=(enh * n) ** 2 / 4.0,
         delay_time_pred=tau_c * math.log(n),
     )
+
+
+def characteristic_time(p: SampleParams) -> float:
+    """Closed-form envelope time tau_c = 2/((1+alpha) N gamma), in 1/gamma."""
+    return derive_params(p).tau_c_closed
+
+
+def delay_time(p: SampleParams) -> float:
+    """Closed-form correlation build-up delay t0 = tau_c ln N, in 1/gamma."""
+    return derive_params(p).delay_time_closed
+
+
+def peak_intensity(p: SampleParams) -> float:
+    """Closed-form weak-coupling peak intensity ((1+alpha) N)^2/4, reached at t0."""
+    return derive_params(p).peak_intensity_pred

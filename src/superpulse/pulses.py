@@ -14,12 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import EmptyAnalysisError, ParameterDomainError
-from .observables import EmissionRecord
 from .params import DerivedParams
 
 # FWHM of sech^2 is 2*acosh(sqrt(2)) times its time constant
@@ -48,14 +46,10 @@ class PulseMetrics:
     ratios: dict[str, float]        # measured/predicted per metric
 
 
-def _as_arrays(records) -> tuple[np.ndarray, np.ndarray]:
-    """Accept a list of EmissionRecord or a (t, ..., intensity) array tuple."""
-    if isinstance(records, tuple):
-        t = np.asarray(records[0], dtype=float)
-        y = np.asarray(records[-1], dtype=float)
-    else:
-        t = np.array([r.t for r in records], dtype=float)
-        y = np.array([r.intensity_scaled for r in records], dtype=float)
+def _as_arrays(records: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Time and intensity columns of a (t, ..., intensity) array tuple."""
+    t = np.asarray(records[0], dtype=float)
+    y = np.asarray(records[-1], dtype=float)
     if t.size == 0:
         raise EmptyAnalysisError("no emission records to analyse")
     if t.size >= 3:
@@ -117,7 +111,7 @@ def _pulse_fwhm(t, y, peak_idx, left_bound, right_bound):
 
 
 def find_superpulses(
-    records: Sequence[EmissionRecord] | tuple,
+    records: tuple,
     prominence_fraction: float = PROMINENCE_FRACTION,
 ) -> list[Superpulse]:
     """Detect individual pulses in a uniformly gridded emission record.
@@ -159,7 +153,7 @@ def find_superpulses(
 
 
 def envelope(
-    records: Sequence[EmissionRecord] | tuple,
+    records: tuple,
     pulses: list[Superpulse] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Upper envelope as (times, values) nodes.
@@ -198,7 +192,7 @@ def _envelope_fwhm(et: np.ndarray, ev: np.ndarray) -> float:
 
 
 def compute_metrics(
-    records: Sequence[EmissionRecord] | tuple,
+    records: tuple,
     d: DerivedParams,
 ) -> PulseMetrics:
     """Measure the pulse-train statistics and compare with the predictions."""

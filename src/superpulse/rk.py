@@ -74,13 +74,13 @@ def solve(
     atol: float,
     max_step: float,
     keep_steps: bool = False,
-    step_monitor: Callable[[float, tuple], None] | None = None,
 ) -> RKResult:
     """Integrate dy/dt = rhs(t, *y) from t=0 to t_end over the given grid.
 
     grid must be sorted, start at 0 and end at t_end.  rhs receives the
     time followed by the unpacked state components and returns the
-    derivative tuple.
+    derivative tuple.  keep_steps also returns every accepted step, led
+    by the initial point.
     """
     ndim = len(y0)
     y = tuple(float(v) for v in y0)
@@ -88,6 +88,8 @@ def solve(
     for i in range(ndim):
         outs[i][0] = y[i]
     if t_end == 0.0 or len(grid) == 1:
+        if keep_steps:
+            return RKResult(outs, 0, 0, 0.0, np.zeros(1), [np.array([v]) for v in y])
         return RKResult(outs, 0, 0, 0.0)
 
     t = 0.0
@@ -162,8 +164,6 @@ def solve(
             if keep_steps:
                 step_ts.append(t)
                 step_ys.append(y)
-            if step_monitor is not None:
-                step_monitor(t, y)
             if err == 0.0:
                 factor = _MAX_FACTOR
             else:

@@ -3,21 +3,21 @@
 Trajectories go to CSV (one row per grid point, 17 significant digits so
 values round-trip exactly); metrics go to a JSON document embedding the
 derived parameters, the measured pulse statistics, integrator stats and
-the fully resolved configuration.  Both files are written atomically.
+the fully resolved configuration.  The exact-cascade oracle writes its
+trajectory and summary through the same writers.  Every file is written
+atomically.
 """
 from __future__ import annotations
 
 import json
-import math
 import os
 import tempfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .bloch import (
-    DEFAULT_PHI0,
     BlochState,
     BlochTrajectory,
     IntegrationControl,
@@ -25,13 +25,18 @@ from .bloch import (
     default_t_end,
 )
 from .errors import ConfigError
+from .ladder import LadderRun
 from .observables import emission_arrays
-from .params import DerivedParams, Regime, SampleParams, derive_params
+from .params import DerivedParams, Regime, SampleParams, derive_params, is_finite
 from .pulses import SECH2_FWHM_FACTOR, PROMINENCE_FRACTION, PulseMetrics, compute_metrics
 from .strong import integrate_strong
 from .weak import sample_weak_solution
 
 TRAJECTORY_HEADER = "gamma_t,theta,phi,energy_over_omega0,intensity_over_gamma_omega0"
+ORACLE_HEADER = "gamma_t,mean_m,intensity_over_gamma_omega0"
+
+# output files a run can write: the trajectory CSV and the metrics JSON
+FORMATS = ("csv", "json")
 
 MEASUREMENT_DEFINITIONS = {
     "envelope": "piecewise-linear interpolation through superpulse peaks",
@@ -72,6 +77,7 @@ class RunConfig:
     t_end: float | None = None
     integration: IntegrationControl = field(default_factory=IntegrationControl)
     out_dir: Path = Path(".")
+    formats: tuple[str, ...] = FORMATS
 
     def resolved_t_end(self) -> float:
         if self.t_end is not None:
@@ -87,9 +93,38 @@ class RunConfig:
 @dataclass(frozen=True)
 class RunResult:
     label: str
-    trajectory_path: Path
-    metrics_path: Path
+    trajectory_path: Path | None   # None when "csv" is not among the formats
+    metrics_path: Path | None      # None when "json" is not among the formats
     metrics: PulseMetrics
+
+    @property
+    def written(self) -> list[Path]:
+        return [p for p in (self.trajectory_path, self.metrics_path) if p is not None]
+
+
+def _apply_overrides(
+    cfg: RunConfig,
+    out_dir: str | Path | None = None,
+    rtol: float | None = None,
+    t_end: float | None = None,
+    theta0: float | None = None,
+    phi0: float | None = None,
+) -> RunConfig:
+    """cfg with the given fields replaced; an unset angle keeps its resolved value."""
+    changes = {}
+    if out_dir is not None:
+        changes["out_dir"] = Path(out_dir)
+    if rtol is not None:
+        changes["integration"] = replace(cfg.integration, rtol=rtol)
+    if t_end is not None:
+        changes["t_end"] = t_end
+    if theta0 is not None or phi0 is not None:
+        base = cfg.resolved_init()
+        changes["init"] = BlochState(
+            theta=base.theta if theta0 is None else theta0,
+            phi=base.phi if phi0 is None else phi0,
+        )
+    return replace(cfg, **changes)
 
 
 # ---------------------------------------------------------------------------
@@ -106,10 +141,9 @@ def _require_keys(obj: dict, allowed: set[str], where: str):
         )
 
 
-def _get_number(obj: dict, key: str, where: str):
-    v = obj[key]
+def _number(v, name: str):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number, got {v!r}")
+        raise ConfigError(f"{name} must be a number, got {v!r}")
     return v
 
 
@@ -131,26 +165,24 @@ def parse_config(doc: dict, base_dir: Path = Path(".")) -> list[RunConfig]:
     for key in ("n_atoms", "omega0"):
         if key not in pd:
             raise ConfigError(f"missing required key 'params.{key}'")
+    pd = {key: _number(v, f"params.{key}") for key, v in pd.items()}
 
     regime = None
     if "regime" in doc:
         name = doc["regime"]
-        if name not in _REGIME_NAMES:
+        if not isinstance(name, str) or name not in _REGIME_NAMES:
             raise ConfigError(
                 f"regime must be one of {sorted(_REGIME_NAMES)}, got {name!r}"
             )
         regime = _REGIME_NAMES[name]
 
-    init = None
+    init = {}
     if "init" in doc:
         idoc = doc["init"]
         if not isinstance(idoc, dict):
             raise ConfigError("'init' must be an object")
         _require_keys(idoc, {"theta0", "phi0"}, "init")
-        theta0 = _get_number(idoc, "theta0", "init") if "theta0" in idoc else None
-        phi0 = _get_number(idoc, "phi0", "init") if "phi0" in idoc else DEFAULT_PHI0
-        if theta0 is not None:
-            init = BlochState(theta=theta0, phi=phi0, t=0.0)
+        init = {key: _number(v, f"init.{key}") for key, v in idoc.items()}
 
     ctrl_kwargs = {}
     if "integration" in doc:
@@ -160,35 +192,43 @@ def parse_config(doc: dict, base_dir: Path = Path(".")) -> list[RunConfig]:
         _require_keys(cdoc, {"rtol", "atol", "max_samples", "dense", "max_step"}, "integration")
         for key in ("rtol", "atol", "max_step"):
             if key in cdoc:
-                ctrl_kwargs[key] = _get_number(cdoc, key, "integration")
+                ctrl_kwargs[key] = _number(cdoc[key], f"integration.{key}")
         if "max_samples" in cdoc:
-            ctrl_kwargs["max_samples"] = int(_get_number(cdoc, "max_samples", "integration"))
+            ms = _number(cdoc["max_samples"], "integration.max_samples")
+            # a count; a non-finite value is left for IntegrationControl to reject
+            ctrl_kwargs["max_samples"] = int(ms) if is_finite(ms) else ms
         if "dense" in cdoc:
             if not isinstance(cdoc["dense"], bool):
                 raise ConfigError("integration.dense must be a boolean")
             ctrl_kwargs["dense"] = cdoc["dense"]
+    integration = IntegrationControl(**ctrl_kwargs)
 
     out_dir = base_dir
+    formats = FORMATS
     if "outputs" in doc:
         odoc = doc["outputs"]
         if not isinstance(odoc, dict):
             raise ConfigError("'outputs' must be an object")
         _require_keys(odoc, {"directory", "formats"}, "outputs")
         if "directory" in odoc:
-            out_dir = Path(odoc["directory"])
-            if not out_dir.is_absolute():
-                out_dir = base_dir / out_dir
+            if not isinstance(odoc["directory"], str):
+                raise ConfigError("outputs.directory must be a string")
+            out_dir = base_dir / odoc["directory"]
         if "formats" in odoc:
             fmts = odoc["formats"]
-            if not isinstance(fmts, list) or set(fmts) - {"csv", "json"}:
-                raise ConfigError("outputs.formats supports only ['csv', 'json']")
+            if not isinstance(fmts, list) or not fmts or any(f not in FORMATS for f in fmts):
+                raise ConfigError(
+                    f"outputs.formats must be a non-empty list drawn from {list(FORMATS)}"
+                )
+            formats = tuple(f for f in FORMATS if f in fmts)
 
-    t_end = _get_number(doc, "t_end", "config") if "t_end" in doc else None
+    t_end = _number(doc["t_end"], "config.t_end") if "t_end" in doc else None
     base_label = doc.get("label", "run")
     if not isinstance(base_label, str):
         raise ConfigError("'label' must be a string")
 
-    sweeps: list[tuple[str, dict]] = [(base_label, dict(pd))]
+    sp = None
+    points = [pd]
     if "sweep" in doc:
         sdoc = doc["sweep"]
         if not isinstance(sdoc, dict):
@@ -203,30 +243,32 @@ def parse_config(doc: dict, base_dir: Path = Path(".")) -> list[RunConfig]:
         values = sdoc["values"]
         if not isinstance(values, list) or not values:
             raise ConfigError("sweep.values must be a non-empty list")
-        sweeps = []
-        for v in values:
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ConfigError(f"sweep value {v!r} is not a number")
-            swept = dict(pd)
-            swept[sp] = v
-            sweeps.append((f"{base_label}_{sp}{v:g}", swept))
+        points = [{**pd, sp: _number(v, "sweep value")} for v in values]
 
     configs = []
-    for label, params_doc in sweeps:
-        try:
-            params = SampleParams(regime=regime, **params_doc)
-        except TypeError as exc:
-            raise ConfigError(f"bad params: {exc}") from exc
-        configs.append(
-            RunConfig(
-                params=params,
-                label=label,
-                init=init,
-                t_end=t_end,
-                integration=IntegrationControl(**ctrl_kwargs),
-                out_dir=out_dir,
-            )
+    swept_value: dict[str, float] = {}
+    for params_doc in points:
+        params = SampleParams(regime=regime, **params_doc)
+        label = base_label
+        if sp is not None:
+            v = params_doc[sp]
+            label = f"{base_label}_{sp}{v:g}"
+            if label in swept_value:
+                raise ConfigError(
+                    f"sweep values {swept_value[label]!r} and {v!r} share the output label"
+                    f" {label!r}; the second run would overwrite the first",
+                    field="sweep.values",
+                )
+            swept_value[label] = v
+        cfg = RunConfig(
+            params=params,
+            label=label,
+            t_end=t_end,
+            integration=integration,
+            out_dir=out_dir,
+            formats=formats,
         )
+        configs.append(_apply_overrides(cfg, **init))
     return configs
 
 
@@ -237,6 +279,8 @@ def load_config(path: str | Path) -> list[RunConfig]:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # undecodable bytes, or an integer literal too long to read
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     return parse_config(doc, base_dir=path.parent)
 
 
@@ -256,12 +300,15 @@ def _atomic_write(path: Path, text: str):
         raise
 
 
-def write_trajectory_csv(path: Path, t, theta, phi, energy, intensity):
-    rows = [TRAJECTORY_HEADER]
-    rows.extend(
-        f"{a:.17g},{b:.17g},{c:.17g},{d:.17g},{e:.17g}"
-        for a, b, c, d, e in zip(t, theta, phi, energy, intensity)
-    )
+def _write_json(path: Path, doc: dict):
+    _atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def write_trajectory_csv(path: Path, *columns, header: str = TRAJECTORY_HEADER):
+    """One header line, then one row per sample at 17 significant digits."""
+    row = ",".join(["%.17g"] * len(columns))
+    rows = [header]
+    rows.extend(row % values for values in zip(*columns))
     rows.append("")
     _atomic_write(path, "\n".join(rows))
 
@@ -272,6 +319,31 @@ def read_trajectory_csv(path: str | Path):
     data = np.atleast_2d(data)
     return tuple(data[:, i] for i in range(5))
 
+
+def write_oracle(
+    out_dir: str | Path,
+    run: LadderRun,
+    n_atoms: int,
+    gamma_eff: float,
+    omega_ratio: float,
+) -> Path:
+    """Write an exact-cascade run's trajectory CSV and summary JSON; returns the CSV path."""
+    out_dir = Path(out_dir)
+    csv_path = out_dir / f"oracle_n{n_atoms}_trajectory.csv"
+    write_trajectory_csv(csv_path, run.t, run.mean_m, run.intensity, header=ORACLE_HEADER)
+    summary = {
+        "n_atoms": n_atoms,
+        "gamma_eff": gamma_eff,
+        "omega_ratio": omega_ratio,
+        "t_end": float(run.t[-1]),
+        "peak_intensity": float(run.intensity.max()),
+        "peak_time": float(run.t[int(np.argmax(run.intensity))]),
+        "integrated_intensity": float(np.trapezoid(run.intensity, run.t)),
+        "quanta_emitted": float(run.mean_m[0] - run.mean_m[-1]),
+        "final_mean_m": float(run.mean_m[-1]),
+    }
+    _write_json(out_dir / f"oracle_n{n_atoms}_summary.json", summary)
+    return csv_path
 
 def _config_doc(cfg: RunConfig, t_end: float, init: BlochState) -> dict:
     p = cfg.params
@@ -313,7 +385,7 @@ def _metrics_doc(
 # execution
 
 def execute(cfg: RunConfig) -> RunResult:
-    """Run one resolved configuration and write its trajectory and metrics."""
+    """Run one resolved configuration and write the files its formats name."""
     p = cfg.params
     d = derive_params(p)
     t_end = cfg.resolved_t_end()
@@ -326,71 +398,37 @@ def execute(cfg: RunConfig) -> RunResult:
     t, energy, intensity = emission_arrays(traj)
     metrics = compute_metrics((t, energy, intensity), d)
 
-    traj_path = cfg.out_dir / f"{cfg.label}_trajectory.csv"
-    metrics_path = cfg.out_dir / f"{cfg.label}_metrics.json"
-    write_trajectory_csv(traj_path, t, traj.theta, traj.phi, energy, intensity)
-    doc = _metrics_doc(cfg, d, metrics, traj, init)
-    _atomic_write(metrics_path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    traj_path = metrics_path = None
+    if "csv" in cfg.formats:
+        traj_path = cfg.out_dir / f"{cfg.label}_trajectory.csv"
+        write_trajectory_csv(traj_path, t, traj.theta, traj.phi, energy, intensity)
+    if "json" in cfg.formats:
+        metrics_path = cfg.out_dir / f"{cfg.label}_metrics.json"
+        _write_json(metrics_path, _metrics_doc(cfg, d, metrics, traj, init))
     return RunResult(cfg.label, traj_path, metrics_path, metrics)
 
 
-def run_preset(
-    name: str,
-    out_dir: str | Path = ".",
-    rtol: float | None = None,
-    t_end: float | None = None,
-    theta0: float | None = None,
-    phi0: float | None = None,
-) -> RunResult:
-    """Execute one of the figure presets, with optional overrides."""
+def preset_config(name: str) -> RunConfig:
+    """The configuration of one figure preset."""
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
     preset = PRESETS[name]
     params = SampleParams(
         n_atoms=preset.n_atoms, omega0=preset.omega0, g=preset.g, regime=preset.regime
     )
-    init = None
-    if theta0 is not None or phi0 is not None:
-        base = default_initial_state(params)
-        init = BlochState(
-            theta=theta0 if theta0 is not None else base.theta,
-            phi=phi0 if phi0 is not None else base.phi,
-        )
-    ctrl = IntegrationControl() if rtol is None else IntegrationControl(rtol=rtol)
-    cfg = RunConfig(
-        params=params,
-        label=name,
-        init=init,
-        t_end=t_end,
-        integration=ctrl,
-        out_dir=Path(out_dir),
-    )
-    return execute(cfg)
+    return RunConfig(params=params, label=name)
 
 
-def _apply_overrides(
-    cfg: RunConfig,
-    rtol: float | None,
-    t_end: float | None,
-    theta0: float | None,
-    phi0: float | None,
-):
-    if rtol is not None:
-        cfg.integration = IntegrationControl(
-            rtol=rtol,
-            atol=cfg.integration.atol,
-            max_samples=cfg.integration.max_samples,
-            dense=cfg.integration.dense,
-            max_step=cfg.integration.max_step,
-        )
-    if t_end is not None:
-        cfg.t_end = t_end
-    if theta0 is not None or phi0 is not None:
-        base = cfg.resolved_init()
-        cfg.init = BlochState(
-            theta=theta0 if theta0 is not None else base.theta,
-            phi=phi0 if phi0 is not None else base.phi,
-        )
+def run_preset(
+    name: str,
+    out_dir: str | Path | None = None,
+    rtol: float | None = None,
+    t_end: float | None = None,
+    theta0: float | None = None,
+    phi0: float | None = None,
+) -> RunResult:
+    """Execute one of the figure presets, with optional overrides."""
+    return execute(_apply_overrides(preset_config(name), out_dir, rtol, t_end, theta0, phi0))
 
 
 def run_config(
@@ -402,10 +440,7 @@ def run_config(
     phi0: float | None = None,
 ) -> list[RunResult]:
     """Execute every run described by a configuration file."""
-    results = []
-    for cfg in load_config(path):
-        if out_dir is not None:
-            cfg.out_dir = Path(out_dir)
-        _apply_overrides(cfg, rtol, t_end, theta0, phi0)
-        results.append(execute(cfg))
-    return results
+    return [
+        execute(_apply_overrides(cfg, out_dir, rtol, t_end, theta0, phi0))
+        for cfg in load_config(path)
+    ]

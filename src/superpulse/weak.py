@@ -24,18 +24,7 @@ from .bloch import (
     fast_phase_max_step,
     output_grid,
 )
-from .params import Regime, SampleParams, derive_params
-
-
-def characteristic_time(p: SampleParams) -> float:
-    """Envelope time constant tau_c = 2/((1+alpha) N gamma), in 1/gamma."""
-    d = derive_params(p)
-    return 2.0 / (d.gamma_eff * p.n_atoms)
-
-
-def delay_time(p: SampleParams) -> float:
-    """Correlation build-up delay t0 = tau_c * ln N, in 1/gamma."""
-    return characteristic_time(p) * math.log(p.n_atoms)
+from .params import DerivedParams, Regime, SampleParams, derive_params
 
 
 def _sech(x):
@@ -45,19 +34,21 @@ def _sech(x):
     return 2.0 * e / (1.0 + e * e)
 
 
-def weak_solution(p: SampleParams, t: float, phi0: float = DEFAULT_PHI0) -> BlochState:
-    """Closed-form Bloch angles at scaled time t.
+def _closed_form_arg(d: DerivedParams, t):
+    """(t - t0)/tau_c, the argument of the closed form's tanh and sech."""
+    return (np.asarray(t, dtype=float) - d.delay_time_closed) / d.tau_c_closed
+
+
+def weak_angles(p: SampleParams, t, phi0: float = DEFAULT_PHI0):
+    """Closed-form Bloch angles (theta, phi) at scaled times t.
 
     sin(theta) = sech((t - t0)/tau_c) with theta < pi/2 before the delay
     time and theta > pi/2 after it; phi advances linearly at the effective
-    frequency.
+    frequency.  Accepts a scalar or an array of scaled times.
     """
-    tau_c = characteristic_time(p)
-    t0 = delay_time(p)
-    x = (t - t0) / tau_c
-    theta = math.acos(-math.tanh(x))
     d = derive_params(p)
-    return BlochState(theta=theta, phi=phi0 + d.omega_eff * t, t=t)
+    theta = np.arccos(-np.tanh(_closed_form_arg(d, t)))
+    return theta, phi0 + d.omega_eff * np.asarray(t, dtype=float)
 
 
 def weak_energy(p: SampleParams, t):
@@ -66,9 +57,7 @@ def weak_energy(p: SampleParams, t):
     Accepts a scalar or an array of scaled times.
     """
     d = derive_params(p)
-    tau_c = characteristic_time(p)
-    t0 = delay_time(p)
-    return -(1.0 + d.alpha) / 2.0 * np.tanh((np.asarray(t, dtype=float) - t0) / tau_c)
+    return -(1.0 + d.alpha) / 2.0 * np.tanh(_closed_form_arg(d, t))
 
 
 def weak_intensity(p: SampleParams, t):
@@ -77,17 +66,9 @@ def weak_intensity(p: SampleParams, t):
     Accepts a scalar or an array of scaled times.
     """
     d = derive_params(p)
-    tau_c = characteristic_time(p)
-    t0 = delay_time(p)
     n = float(p.n_atoms)
-    s = _sech((np.asarray(t, dtype=float) - t0) / tau_c)
+    s = _sech(_closed_form_arg(d, t))
     return (n * (1.0 + d.alpha)) ** 2 / 4.0 * s * s
-
-
-def peak_intensity(p: SampleParams) -> float:
-    """Closed-form peak of weak_intensity, reached exactly at t0."""
-    d = derive_params(p)
-    return (p.n_atoms * (1.0 + d.alpha)) ** 2 / 4.0
 
 
 def sample_weak_solution(
@@ -107,10 +88,7 @@ def sample_weak_solution(
     if ctrl is None:
         ctrl = IntegrationControl()
     grid = output_grid(t_end, d, ctrl)
-    tau_c = characteristic_time(p)
-    t0 = delay_time(p)
-    theta = np.arccos(-np.tanh((grid - t0) / tau_c))
-    phi = phi0 + d.omega_eff * grid
+    theta, phi = weak_angles(p, grid, phi0)
     return BlochTrajectory(
         params=d,
         sample_params=p,

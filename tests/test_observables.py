@@ -6,19 +6,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from superpulse import (
-    BlochState,
     BlochTrajectory,
     IntegratorStats,
     Regime,
     SampleParams,
+    delay_time,
     derive_params,
     emission_arrays,
-    energy_strong,
     find_superpulses,
     integrate_strong,
-    intensity_strong,
     sample_weak_solution,
-    trajectory_to_emission,
+    weak_energy,
     weak_intensity,
 )
 
@@ -27,29 +25,53 @@ D_DENSE = derive_params(P_DENSE)
 P_DICKE = SampleParams(10_000, 1e6, 0.0, regime=Regime.DICKE_LIMIT)
 
 
+def strong_trajectory(theta, phi, p=P_DENSE) -> BlochTrajectory:
+    """A strong-regime trajectory holding the given angle samples."""
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    return BlochTrajectory(
+        params=derive_params(p),
+        sample_params=p,
+        kind=Regime.STRONG,
+        t=np.zeros(len(theta)),
+        theta=theta,
+        phi=np.broadcast_to(np.asarray(phi, dtype=float), theta.shape),
+        t_end=0.0,
+        stats=IntegratorStats(0, 0, 0.0),
+    )
+
+
+def energy_at(theta, phi, p=P_DENSE):
+    return emission_arrays(strong_trajectory(theta, phi, p))[1][0]
+
+
+def intensity_at(theta, phi, p=P_DENSE):
+    return emission_arrays(strong_trajectory(theta, phi, p))[2][0]
+
+
 def test_energy_fully_excited():
-    assert energy_strong(BlochState(0.0, 0.0), D_DENSE) == 1.5
+    assert energy_at(0.0, 0.0) == 1.5
 
 
 def test_energy_equator_zero():
-    assert energy_strong(BlochState(math.pi / 2, 0.0), D_DENSE) == pytest.approx(0.0, abs=1e-15)
+    assert energy_at(math.pi / 2, 0.0) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_energy_ground_state():
-    d = derive_params(SampleParams(10_000, 1e6, 0.0))
-    assert energy_strong(BlochState(math.pi, 0.0), d) == pytest.approx(-0.5, rel=1e-15)
+    p = SampleParams(10_000, 1e6, 0.0)
+    assert energy_at(math.pi, 0.0, p) == pytest.approx(-0.5, rel=1e-15)
 
 
 def test_intensity_maximal_configuration():
-    s = BlochState(math.pi / 2, math.pi / 2)
-    assert intensity_strong(s, D_DENSE) == pytest.approx(0.25 * 1e4 * 9999 * 9, rel=1e-14)
+    assert intensity_at(math.pi / 2, math.pi / 2) == pytest.approx(
+        0.25 * 1e4 * 9999 * 9, rel=1e-14
+    )
 
 
 def test_intensity_vanishes_on_the_zero_set():
-    assert intensity_strong(BlochState(1.0, 0.0), D_DENSE) == 0.0
-    assert intensity_strong(BlochState(0.0, 1.0), D_DENSE) == 0.0
+    assert intensity_at(1.0, 0.0) == 0.0
+    assert intensity_at(0.0, 1.0) == 0.0
     # sin(pi) is one ulp away from zero in floats
-    assert intensity_strong(BlochState(1.0, math.pi), D_DENSE) < 1e-20
+    assert intensity_at(1.0, math.pi) < 1e-20
 
 
 angles = st.floats(min_value=0.0, max_value=math.pi)
@@ -58,14 +80,14 @@ phases = st.floats(min_value=-50.0, max_value=50.0)
 
 @given(theta=angles, phi=phases)
 def test_intensity_nonnegative_and_bounded(theta, phi):
-    val = intensity_strong(BlochState(theta, phi), D_DENSE)
+    val = intensity_at(theta, phi)
     assert val >= 0.0
     assert val <= D_DENSE.peak_intensity_pred * (1.0 + 1e-9)
 
 
 @given(theta=angles)
 def test_energy_bounded_by_half_enhancement(theta):
-    val = energy_strong(BlochState(theta, 0.0), D_DENSE)
+    val = energy_at(theta, 0.0)
     assert abs(val) <= (1.0 + D_DENSE.alpha) / 2.0
 
 
@@ -74,8 +96,6 @@ def test_weak_trajectory_emission_single_sech_pulse():
     traj = sample_weak_solution(P_DICKE)
     t, energy, intensity = emission_arrays(traj)
     ipk = int(np.argmax(intensity))
-    from superpulse import delay_time
-
     t0 = delay_time(P_DICKE)
     dt = t[1] - t[0]
     assert abs(t[ipk] - t0) <= dt
@@ -85,28 +105,18 @@ def test_weak_trajectory_emission_single_sech_pulse():
     assert len(pulses) == 1
 
 
-def test_emission_records_match_arrays():
+def test_weak_emission_arrays_match_closed_forms():
     traj = sample_weak_solution(P_DICKE, t_end=1e-4)
-    records = trajectory_to_emission(traj)
     t, energy, intensity = emission_arrays(traj)
-    assert len(records) == len(t)
-    assert records[7].t == t[7]
-    assert records[7].energy_scaled == energy[7]
-    assert records[7].intensity_scaled == intensity[7]
+    assert len(traj) == len(t)
+    assert t[7] == traj.t[7]
+    assert energy[7] == weak_energy(P_DICKE, t[7])
+    assert intensity[7] == weak_intensity(P_DICKE, t[7])
 
 
-def test_zero_length_trajectory_gives_empty_list():
-    traj = BlochTrajectory(
-        params=D_DENSE,
-        sample_params=P_DENSE,
-        kind=Regime.STRONG,
-        t=np.empty(0),
-        theta=np.empty(0),
-        phi=np.empty(0),
-        t_end=0.0,
-        stats=IntegratorStats(0, 0, 0.0),
-    )
-    assert trajectory_to_emission(traj) == []
+def test_zero_length_trajectory_gives_empty_arrays():
+    t, energy, intensity = emission_arrays(strong_trajectory(np.empty(0), np.empty(0)))
+    assert len(t) == len(energy) == len(intensity) == 0
 
 
 def test_strong_peaks_sit_where_the_phase_channel_opens():

@@ -73,6 +73,13 @@ def test_regime_override_is_respected():
         (dict(n_atoms=100, omega0=1e6, g=-1.0), "g"),
         (dict(n_atoms=100, omega0=1e6, gamma=2.0), "gamma"),
         (dict(n_atoms=100, omega0=1e6, g=1.0, regime=Regime.DICKE_LIMIT), "regime"),
+        (dict(n_atoms=100, omega0=1e6, g=math.nan), "g"),
+        (dict(n_atoms=100, omega0=1e6, g=math.inf), "g"),
+        (dict(n_atoms=100, omega0=math.inf), "omega0"),
+        (dict(n_atoms=100, omega0=math.nan), "omega0"),
+        (dict(n_atoms=math.inf, omega0=1e6), "n_atoms"),
+        (dict(n_atoms=10**400, omega0=1e6), "n_atoms"),
+        (dict(n_atoms=100, omega0=10**400), "omega0"),
     ],
 )
 def test_invalid_params_name_the_field(kwargs, field):

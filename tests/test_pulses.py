@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from superpulse import (
-    EmissionRecord,
     EmptyAnalysisError,
     ParameterDomainError,
     SampleParams,
@@ -100,7 +99,7 @@ def test_zero_signal_raises():
 
 def test_empty_records_raise():
     with pytest.raises(EmptyAnalysisError):
-        find_superpulses([])
+        find_superpulses((np.empty(0), np.empty(0)))
 
 
 def test_non_uniform_grid_rejected():
@@ -114,13 +113,6 @@ def test_prominence_filter_rejects_ripple():
     t, y = single_pulse(n=50001)
     ripple = 1e-4 * y.max() * np.sin(2e4 * t) ** 2
     pulses = find_superpulses((t, y + ripple))
-    assert len(pulses) == 1
-
-
-def test_accepts_emission_record_lists():
-    t, y = single_pulse(n=2001)
-    records = [EmissionRecord(tv, 0.0, yv) for tv, yv in zip(t, y)]
-    pulses = find_superpulses(records)
     assert len(pulses) == 1
 
 

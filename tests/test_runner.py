@@ -4,13 +4,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superpulse import ConfigError, ParameterDomainError, compute_metrics, derive_params
 from superpulse.cli import main
 from superpulse.runner import (
     PRESETS,
     TRAJECTORY_HEADER,
+    RunConfig,
     load_config,
+    parse_config,
     read_trajectory_csv,
     run_config,
     run_preset,
@@ -126,11 +130,131 @@ def test_invalid_n_atoms_names_field(tmp_path):
         {"params": {"omega0": 1e4}},
         {"params": {"n_atoms": 100, "omega0": 1e4}, "outputs": {"formats": ["xml"]}},
         {"params": {"n_atoms": 100, "omega0": 1e4}, "sweep": {"param": "gamma", "values": [1]}},
+        {"params": {"n_atoms": 100, "omega0": 1e4}, "outputs": {"formats": []}},
+        {"params": {"n_atoms": 100, "omega0": 1e4}, "outputs": {"directory": 3}},
+        {"params": {"n_atoms": 100, "omega0": 1e4}, "regime": ["weak"]},
+        {"params": {"n_atoms": "100", "omega0": 1e4}},
+        {"params": {"n_atoms": 100, "omega0": 1e4, "g": 1.0},
+         "sweep": {"param": "g", "values": [1000000, 1000000.0001]}},
     ],
 )
 def test_bad_configs_rejected(tmp_path, doc):
     with pytest.raises(ConfigError):
         load_config(write_config(tmp_path, doc))
+
+
+# values that parse as JSON numbers but lie outside their domain, with the
+# field each must be rejected under
+NON_FINITE_CASES = [
+    ({"params": {"n_atoms": 500, "omega0": 1e4, "g": math.nan}}, "g"),
+    ({"params": {"n_atoms": 500, "omega0": math.inf, "g": 10.0}}, "omega0"),
+    ({"t_end": math.nan}, "t_end"),
+    ({"t_end": math.inf}, "t_end"),
+    ({"sweep": {"param": "g", "values": [10.0, math.nan]}}, "g"),
+    ({"init": {"phi0": math.inf}}, "phi"),
+    ({"init": {"phi0": math.inf}, "regime": "strong"}, "phi"),
+    ({"integration": {"max_step": 0}}, "max_step"),
+    ({"integration": {"max_step": math.nan}}, "max_step"),
+    ({"integration": {"rtol": math.inf}}, "rtol"),
+    ({"integration": {"max_samples": math.nan}}, "max_samples"),
+]
+
+
+def fast_config_with(changes: dict) -> dict:
+    doc = json.loads(json.dumps(FAST_CONFIG))
+    for key, value in changes.items():
+        if key == "params":
+            doc["params"].update(value)
+        else:
+            doc[key] = value
+    return doc
+
+
+def test_init_phi0_alone_is_applied(tmp_path):
+    doc = dict(FAST_CONFIG, init={"phi0": 0.5})
+    (cfg,) = load_config(write_config(tmp_path, doc))
+    assert cfg.resolved_init().phi == 0.5
+    (plain,) = load_config(write_config(tmp_path, FAST_CONFIG, "plain.json"))
+    assert cfg.resolved_init().theta == plain.resolved_init().theta
+
+
+@pytest.mark.parametrize("formats", [["json"], ["csv"]])
+def test_output_formats_select_the_files(tmp_path, capsys, formats):
+    doc = dict(FAST_CONFIG, outputs={"formats": formats})
+    path = write_config(tmp_path, doc)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    written = sorted(p.name for p in (tmp_path / "out").iterdir())
+    expected = {"csv": "fast_trajectory.csv", "json": "fast_metrics.json"}
+    assert written == [expected[f] for f in formats]
+    line = capsys.readouterr().out.strip()
+    assert line == f"fast: wrote {tmp_path / 'out' / expected[formats[0]]}"
+
+
+def test_cli_honours_config_output_directory(tmp_path, capsys):
+    doc = dict(FAST_CONFIG, outputs={"directory": "results"})
+    path = write_config(tmp_path, doc)
+    assert main(["run", "--config", str(path)]) == 0
+    assert (tmp_path / "results" / "fast_metrics.json").exists()
+
+
+# JSON-like values: all JSON kinds, the non-finite numbers Python's json
+# module accepts, and integers past float range
+_numbers = st.one_of(
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_json = st.recursive(
+    st.one_of(st.none(), st.booleans(), _numbers, st.text(max_size=6)),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=3), st.dictionaries(st.text(max_size=6), kids, max_size=3)
+    ),
+    max_leaves=8,
+)
+
+# uses every key the config format knows
+FULL_CONFIG = {
+    "params": {"n_atoms": 500, "omega0": 1e4, "g": 10.0, "gamma": 1.0},
+    "regime": "weak",
+    "label": "fast",
+    "init": {"theta0": 0.01, "phi0": 0.5},
+    "t_end": 1e-3,
+    "integration": {"rtol": 1e-9, "atol": 1e-12, "max_samples": 1000, "dense": True,
+                    "max_step": 1e-6},
+    "outputs": {"directory": "out", "formats": ["csv", "json"]},
+    "sweep": {"param": "g", "values": [0.0, 10.0]},
+}
+_KEY_PATHS = [(key,) for key in FULL_CONFIG] + [
+    (key, sub) for key, value in FULL_CONFIG.items() if isinstance(value, dict) for sub in value
+]
+
+
+@st.composite
+def config_docs(draw):
+    """FULL_CONFIG with a few keys dropped, set to arbitrary JSON values or
+    joined by unknown keys."""
+    doc = json.loads(json.dumps(FULL_CONFIG))
+    for path in draw(st.lists(st.sampled_from(_KEY_PATHS), max_size=4)):
+        parent = doc if len(path) == 1 else doc.get(path[0])
+        if not isinstance(parent, dict):
+            continue
+        action = draw(st.sampled_from(["drop", "replace", "add"]))
+        if action == "drop":
+            parent.pop(path[-1], None)
+        elif action == "replace":
+            parent[path[-1]] = draw(_json)
+        else:
+            parent[draw(st.text(max_size=6))] = draw(_json)
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=config_docs())
+def test_parse_config_fuzz_only_raises_validation_errors(doc):
+    try:
+        configs = parse_config(doc)
+    except (ConfigError, ParameterDomainError):
+        return
+    assert configs and all(isinstance(c, RunConfig) for c in configs)
 
 
 def test_invalid_json_reports_line(tmp_path):
@@ -139,6 +263,13 @@ def test_invalid_json_reports_line(tmp_path):
     with pytest.raises(ConfigError) as exc:
         load_config(path)
     assert "line 2" in str(exc.value)
+
+
+def test_undecodable_config_rejected(tmp_path):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b'{"params": "\xff"}')
+    with pytest.raises(ConfigError):
+        load_config(path)
 
 
 def test_unknown_preset_rejected(tmp_path):
@@ -174,6 +305,63 @@ def test_cli_validation_exit_code(tmp_path, capsys):
     path = write_config(tmp_path, doc)
     assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert "n_atoms" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("changes, field", NON_FINITE_CASES)
+def test_cli_out_of_domain_numbers_exit_code(tmp_path, capsys, changes, field):
+    path = write_config(tmp_path, fast_config_with(changes))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"validation error: {field}")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["preset", "fig7", "--t-end", "nan"],
+        ["preset", "fig7", "--t-end", "inf"],
+        ["preset", "fig7", "--phi0", "inf"],
+        ["preset", "fig7", "--rtol", "inf"],
+    ],
+)
+def test_cli_out_of_domain_overrides_exit_code(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("validation error:")
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_sweep_label_collision_exit_code(tmp_path, capsys):
+    doc = dict(FAST_CONFIG, sweep={"param": "g", "values": [1000000, 1000000.0001]})
+    path = write_config(tmp_path, doc)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: sweep.values")
+    assert "1000000 " in err and "1000000.0001" in err and "'fast_g1e+06'" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_dense_zero_window_runs(tmp_path, capsys):
+    doc = dict(FAST_CONFIG, regime="strong", t_end=0, integration={"dense": True})
+    path = write_config(tmp_path, doc)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "fast_metrics.json").read_text())["samples"] == 1
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["--n", "0"], "n_atoms"),
+        (["--n", "10", "--gamma-eff", "0"], "gamma_eff"),
+        (["--n", "10", "--gamma-eff", "nan"], "gamma_eff"),
+        (["--n", "10", "--omega-ratio", "inf"], "omega_ratio"),
+        (["--n", "10", "--t-end", "nan"], "t_end"),
+        (["--n", "10", "--t-end", "inf"], "t_end"),
+    ],
+)
+def test_cli_oracle_out_of_domain_numbers_exit_code(tmp_path, capsys, argv, field):
+    assert main(["oracle", *argv, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"validation error: {field}")
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_budget_exit_code(tmp_path, capsys):

@@ -13,26 +13,27 @@ from superpulse import (
     derive_params,
     integrate_cartesian,
     integrate_strong,
-    rhs_strong,
 )
 from superpulse import rk
+from superpulse.strong import _make_rhs
 
 P_FIG1 = SampleParams(10_000, 1e6, 1e2)
 P_FIG2 = SampleParams(10_000, 1e5, 1e2)   # same physics, ~20x cheaper window
 P_FIG6 = SampleParams(10_000, 1e6, 0.0)
 D_FIG1 = derive_params(P_FIG1)
+RHS_FIG1 = _make_rhs(D_FIG1)
 
 
 def test_rhs_at_equator_with_full_emission_channel():
     # sin(theta) = sin(phi)^2 = 1 and sin(2 phi) = 0
-    dth, dph = rhs_strong(BlochState(math.pi / 2, math.pi / 2), D_FIG1)
+    dth, dph = RHS_FIG1(0.0, math.pi / 2, math.pi / 2)
     assert dth == pytest.approx(1.49985e4, rel=1e-12)
     assert dph == pytest.approx(3e6, rel=1e-12)
 
 
 def test_rhs_pole_is_fixed_point_of_theta():
     for phi in (0.0, 0.3, 2.0, math.pi):
-        dth, _ = rhs_strong(BlochState(0.0, phi), D_FIG1)
+        dth, _ = RHS_FIG1(0.0, 0.0, phi)
         assert dth == 0.0
 
 
@@ -40,18 +41,24 @@ def test_rhs_at_quarter_angles():
     # frozen from a 40-digit evaluation of the right-hand side:
     # (N-1)(Gamma/2) sin(pi/4) sin^2(pi/4) and
     # Omega - (N-1)(Gamma/4) cos(pi/4) sin(pi/2)
-    dth, dph = rhs_strong(BlochState(math.pi / 4, math.pi / 4), D_FIG1)
+    dth, dph = RHS_FIG1(0.0, math.pi / 4, math.pi / 4)
     assert dth == pytest.approx(5302.7705288132165, rel=1e-13)
     assert dph == pytest.approx(2994697.2294711866, rel=1e-13)
 
 
 def test_zero_window_returns_single_initial_sample():
     init = default_initial_state(P_FIG1)
-    traj = integrate_strong(P_FIG1, t_end=0.0)
-    assert len(traj) == 1
-    assert traj.t[0] == 0.0
-    assert traj.theta[0] == init.theta
-    assert traj.phi[0] == init.phi
+    for ctrl in (IntegrationControl(), IntegrationControl(dense=True)):
+        traj = integrate_strong(P_FIG1, t_end=0.0, ctrl=ctrl)
+        assert len(traj) == 1
+        assert traj.t[0] == 0.0
+        assert traj.theta[0] == init.theta
+        assert traj.phi[0] == init.phi
+        if ctrl.dense:
+            # the initial point is the only natural step
+            assert list(traj.step_t) == [0.0]
+            assert list(traj.step_theta) == [init.theta]
+            assert list(traj.step_phi) == [init.phi]
 
 
 def test_samples_start_at_zero_and_increase():
