@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import rk
 from .errors import ParameterDomainError, SampleBudgetError
 from .params import DerivedParams, Regime, SampleParams, derive_params, is_finite
 
@@ -42,8 +43,7 @@ class BlochState:
 class IntegrationControl:
     rtol: float = 1e-9
     atol: float = 1e-12
-    max_samples: int = 2_000_000
-    dense: bool = False          # additionally retain the integrator's natural steps
+    max_samples: int = 2_000_000  # caps the output samples and the accepted steps
     max_step: float | None = None  # extra cap on top of the fast-phase resolution cap
 
     def __post_init__(self):
@@ -73,7 +73,9 @@ class BlochTrajectory:
 
     kind records which regime's observable map applies to the samples
     (set by whichever routine produced the trajectory, not by the
-    classifier).
+    classifier).  Integrated trajectories also carry the integrator's
+    accepted steps, led by the initial point; closed-form ones leave the
+    step_* fields as None.
     """
 
     params: DerivedParams
@@ -143,13 +145,14 @@ def output_grid(t_end: float, d: DerivedParams, ctrl: IntegrationControl) -> np.
     if t_end == 0.0:
         return np.zeros(1)
     spacing = min(d.tau_1_pred / 10.0, d.tau_c_pred / 1000.0)
-    n = math.ceil(t_end / spacing)
-    if n + 1 > ctrl.max_samples:
+    # ceil(x) + 1 > max_samples exactly when x > max_samples - 1; comparing
+    # the quotient x itself also holds when it lies past float range
+    if t_end / spacing > ctrl.max_samples - 1:
         spacing = d.tau_1_pred / 10.0
-        n = math.ceil(t_end / spacing)
-        if n + 1 > ctrl.max_samples:
-            raise SampleBudgetError(n + 1, ctrl.max_samples)
-    return np.linspace(0.0, t_end, n + 1)
+        n = t_end / spacing
+        if n > ctrl.max_samples - 1:
+            raise SampleBudgetError(math.ceil(n) + 1 if is_finite(n) else n, ctrl.max_samples)
+    return np.linspace(0.0, t_end, math.ceil(t_end / spacing) + 1)
 
 
 def fast_phase_max_step(d: DerivedParams, ctrl: IntegrationControl) -> float:
@@ -157,3 +160,65 @@ def fast_phase_max_step(d: DerivedParams, ctrl: IntegrationControl) -> float:
     if ctrl.max_step is not None:
         cap = min(cap, ctrl.max_step)
     return cap
+
+
+def _angle_state(init: BlochState) -> tuple[float, float]:
+    return init.theta, init.phi
+
+
+def _clipped_angles(values: list[np.ndarray], init: BlochState):
+    return np.clip(values[0], 0.0, math.pi), values[1]
+
+
+def _integrate(
+    p: SampleParams,
+    kind: Regime,
+    make_rhs,
+    init: BlochState | None,
+    t_end: float | None,
+    ctrl: IntegrationControl | None,
+    to_state=_angle_state,
+    to_angles=_clipped_angles,
+) -> tuple[BlochTrajectory, rk.RKResult]:
+    """Integrate make_rhs(d) over the standard output grid of p.
+
+    Unset init, t_end and ctrl take their defaults for kind.  to_state
+    maps the initial state onto the integrated variables and to_angles maps
+    integrated values (grid samples or steps) back to (theta, phi).  The
+    sample budget ctrl.max_samples also caps the accepted steps, so a stiff
+    window cannot run for hours on a small grid.
+    """
+    d = derive_params(p)
+    if init is None:
+        init = default_initial_state(p)
+    if t_end is None:
+        t_end = default_t_end(p, kind)
+    if ctrl is None:
+        ctrl = IntegrationControl()
+    grid = output_grid(t_end, d, ctrl)
+    res = rk.solve(
+        make_rhs(d),
+        to_state(init),
+        t_end,
+        grid,
+        rtol=ctrl.rtol,
+        atol=ctrl.atol,
+        max_step=fast_phase_max_step(d, ctrl),
+        max_steps=ctrl.max_samples,
+    )
+    theta, phi = to_angles(res.grid_values, init)
+    step_theta, step_phi = to_angles(res.step_values, init)
+    traj = BlochTrajectory(
+        params=d,
+        sample_params=p,
+        kind=kind,
+        t=grid,
+        theta=theta,
+        phi=phi,
+        t_end=t_end,
+        stats=IntegratorStats(res.n_accepted, res.n_rejected, res.max_error_ratio),
+        step_t=res.step_times,
+        step_theta=step_theta,
+        step_phi=step_phi,
+    )
+    return traj, res

@@ -14,6 +14,7 @@ import sys
 
 from .errors import (
     ConfigError,
+    EmptyAnalysisError,
     IntegrationFailure,
     ParameterDomainError,
     SampleBudgetError,
@@ -85,7 +86,7 @@ def main(argv: list[str] | None = None) -> int:
             results = run_config(args.config, **overrides)
         for r in results:
             print(f"{r.label}: wrote {' and '.join(map(str, r.written))}")
-    except (ParameterDomainError, ConfigError) as exc:
+    except (ParameterDomainError, ConfigError, EmptyAnalysisError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (IntegrationFailure, SampleBudgetError, StepSizeError) as exc:

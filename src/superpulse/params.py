@@ -7,7 +7,7 @@ output directly plottable without unit bookkeeping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 from .errors import ParameterDomainError
@@ -82,6 +82,17 @@ class SampleParams:
             object.__setattr__(self, "regime", classify_regime(self))
         elif self.regime is Regime.DICKE_LIMIT and self.g != 0.0:
             raise ParameterDomainError("regime", "the Dicke limit requires g = 0")
+        # finite inputs can still overflow a derived quantity (omega0 = 1e-310
+        # makes alpha infinite); name the first one that does
+        d = derive_params(self)
+        for f in fields(d):
+            value = getattr(d, f.name)
+            if not is_finite(value):
+                raise ParameterDomainError(
+                    f.name,
+                    f"derived value is {value!r} for n_atoms={n}, omega0={self.omega0!r},"
+                    f" g={self.g!r}",
+                )
 
     @property
     def coupling_strength_ratio(self) -> float:

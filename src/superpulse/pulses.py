@@ -123,7 +123,10 @@ def find_superpulses(
     t, y = _as_arrays(records)
     gmax = y.max()
     if gmax <= 0.0:
-        raise EmptyAnalysisError("emission record is identically zero")
+        raise EmptyAnalysisError(
+            "emission record is identically zero: nothing to analyse"
+            " (an initial state on a pole of the Bloch sphere never emits)"
+        )
 
     idx = _local_maxima(y)
     if len(idx) == 0:
@@ -172,25 +175,6 @@ def envelope(
     )
 
 
-def _envelope_fwhm(et: np.ndarray, ev: np.ndarray) -> float:
-    """FWHM of the envelope polyline, clamped to the window where needed."""
-    imax = int(np.argmax(ev))
-    half = ev[imax] / 2.0
-    tl = et[0]
-    for j in range(imax, 0, -1):
-        if ev[j - 1] <= half:
-            f = (ev[j] - half) / (ev[j] - ev[j - 1])
-            tl = et[j] + f * (et[j - 1] - et[j])
-            break
-    tr = et[-1]
-    for j in range(imax, len(ev) - 1):
-        if ev[j + 1] <= half:
-            f = (ev[j] - half) / (ev[j] - ev[j + 1])
-            tr = et[j] + f * (et[j + 1] - et[j])
-            break
-    return tr - tl
-
-
 def compute_metrics(
     records: tuple,
     d: DerivedParams,
@@ -199,8 +183,9 @@ def compute_metrics(
     pulses = find_superpulses(records)
     et, ev = envelope(records, pulses)
     env_max = float(ev.max())
-    delay = float(et[np.argmax(ev)])
-    env_fwhm = float(_envelope_fwhm(et, ev))
+    imax = int(np.argmax(ev))
+    delay = float(et[imax])
+    env_fwhm = float(_pulse_fwhm(et, ev, imax, 0, len(ev) - 1))
     tau_c_meas = env_fwhm / SECH2_FWHM_FACTOR
 
     at_half = [p for p in pulses if p.height >= 0.5 * env_max]

@@ -6,14 +6,18 @@ the right-hand side is called with unpacked components; this keeps the per
 step cost low enough that desk-scale runs with millions of fast-phase
 oscillations finish in seconds.
 
-Accepted steps are resampled onto a caller-supplied output grid with the
-pair's matched quartic dense-output polynomial, so interpolated values
-carry the same accuracy as the step endpoints.
+Every accepted step is recorded (start time, size, state and stages).
+After stepping, the pair's matched quartic dense-output polynomial is
+evaluated on the whole caller-supplied output grid in one numpy pass, so
+interpolated values carry the same accuracy as the step endpoints, and
+they depend only on the step sequence, never on the grid.
 """
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -61,8 +65,8 @@ class RKResult:
     n_accepted: int
     n_rejected: int
     max_error_ratio: float          # largest accepted scaled error (1.0 = at tolerance)
-    step_times: np.ndarray | None = None
-    step_values: list[np.ndarray] | None = None
+    step_times: np.ndarray          # initial time, then the end of every accepted step
+    step_values: list[np.ndarray]   # one array per state component, at step_times
 
 
 def solve(
@@ -73,25 +77,18 @@ def solve(
     rtol: float,
     atol: float,
     max_step: float,
-    keep_steps: bool = False,
+    max_steps: float = math.inf,
 ) -> RKResult:
     """Integrate dy/dt = rhs(t, *y) from t=0 to t_end over the given grid.
 
     grid must be sorted, start at 0 and end at t_end.  rhs receives the
     time followed by the unpacked state components and returns the
-    derivative tuple.  keep_steps also returns every accepted step, led
-    by the initial point.
+    derivative tuple.  The result also carries every accepted step, led by
+    the initial point.  A run that needs more than max_steps accepted steps
+    raises IntegrationFailure.
     """
     ndim = len(y0)
     y = tuple(float(v) for v in y0)
-    outs = [np.empty(len(grid)) for _ in range(ndim)]
-    for i in range(ndim):
-        outs[i][0] = y[i]
-    if t_end == 0.0 or len(grid) == 1:
-        if keep_steps:
-            return RKResult(outs, 0, 0, 0.0, np.zeros(1), [np.array([v]) for v in y])
-        return RKResult(outs, 0, 0, 0.0)
-
     t = 0.0
     f = rhs(t, *y)
     # conservative first step from the initial derivative magnitude
@@ -99,10 +96,8 @@ def solve(
     d1 = max(max(abs(v) for v in f), 1e-8)
     h = min(max_step, 0.01 * d0 / d1, t_end)
 
-    step_ts: list[float] = [0.0] if keep_steps else []
-    step_ys: list[tuple] = [y] if keep_steps else []
-
-    gi = 1
+    # per accepted step: start time, size, start state and the seven stages
+    steps = array("d")
     n_acc = 0
     n_rej = 0
     rejects_in_a_row = 0
@@ -111,6 +106,8 @@ def solve(
     eps = np.finfo(float).eps
 
     while t < t_end:
+        if n_acc >= max_steps:
+            raise IntegrationFailure(f"step budget of {max_steps} accepted steps spent", t, y)
         final_step = h >= t_end - t
         if final_step:
             h = t_end - t
@@ -138,32 +135,15 @@ def solve(
         err = math.sqrt(err / ndim)
 
         if err <= 1.0:
+            steps.extend(chain((t, h), y, *k))
             # land exactly on t_end; t + h can fall an ulp short of it
-            t_new = t_end if final_step else t + h
-            # fill grid points inside (t, t_new] with the dense-output quartic
-            if gi < len(grid) and grid[gi] <= t_new:
-                q = [
-                    tuple(
-                        sum(k[j][i] * _P[j][c] for j in range(7)) for c in range(4)
-                    )
-                    for i in range(ndim)
-                ]
-                while gi < len(grid) and grid[gi] <= t_new:
-                    s = (grid[gi] - t) / h
-                    for i in range(ndim):
-                        q0, q1, q2, q3 = q[i]
-                        outs[i][gi] = y[i] + h * s * (q0 + s * (q1 + s * (q2 + s * q3)))
-                    gi += 1
-            t = t_new
+            t = t_end if final_step else t + h
             y = z
             f = k[6]
             n_acc += 1
             rejects_in_a_row = 0
             if err > max_err:
                 max_err = err
-            if keep_steps:
-                step_ts.append(t)
-                step_ys.append(y)
             if err == 0.0:
                 factor = _MAX_FACTOR
             else:
@@ -181,13 +161,49 @@ def solve(
             else:
                 h *= _MIN_FACTOR
 
-    if gi != len(grid):
-        # unreachable with the forced final step; kept as a safety net
-        for i in range(ndim):
-            outs[i][gi:] = outs[i][gi - 1]
+    rec = np.frombuffer(steps).reshape(n_acc, 2 + 8 * ndim)
+    step_times = np.append(rec[:, 0], t)
+    step_values = [np.append(rec[:, 2 + i], y[i]) for i in range(ndim)]
+    stages = rec[:, 2 + ndim:].reshape(n_acc, 7, ndim)
+    return RKResult(
+        _dense_output(grid, step_times, rec[:, 1], step_values, stages),
+        n_acc,
+        n_rej,
+        max_err,
+        step_times,
+        step_values,
+    )
 
-    result = RKResult(outs, n_acc, n_rej, max_err)
-    if keep_steps:
-        result.step_times = np.array(step_ts)
-        result.step_values = [np.array([sy[i] for sy in step_ys]) for i in range(ndim)]
-    return result
+
+def _dense_output(grid, step_times, h, step_values, stages) -> list[np.ndarray]:
+    """Evaluate the quartic interpolant of the recorded steps on the grid.
+
+    Each grid point after the first takes the first step whose interval
+    (t, t + h] contains it.  The arithmetic is the scalar formula
+    y + h*s*(q0 + s*(q1 + s*(q2 + s*q3))) with s = (t_grid - t)/h and
+    q_c = sum_j k_j*P[j][c] summed left to right, one ufunc per operation.
+    """
+    idx = np.searchsorted(step_times[1:], grid[1:], side="left")
+    s = (grid[1:] - step_times[idx]) / h[idx]
+    hs = h[idx] * s
+    outs = []
+    for i, yi in enumerate(step_values):
+        q = []
+        for c in range(4):
+            qc = 0.0
+            for j in range(7):
+                qc = qc + stages[:, j, i] * _P[j][c]
+            q.append(qc)
+        out = np.empty(len(grid))
+        out[0] = yi[0]
+        acc = out[1:]  # a view: Horner in place, one rounding per operation
+        np.multiply(s, q[3][idx], out=acc)
+        acc += q[2][idx]
+        acc *= s
+        acc += q[1][idx]
+        acc *= s
+        acc += q[0][idx]
+        acc *= hs
+        acc += yi[idx]
+        outs.append(out)
+    return outs

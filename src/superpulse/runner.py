@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -189,7 +188,7 @@ def parse_config(doc: dict, base_dir: Path = Path(".")) -> list[RunConfig]:
         cdoc = doc["integration"]
         if not isinstance(cdoc, dict):
             raise ConfigError("'integration' must be an object")
-        _require_keys(cdoc, {"rtol", "atol", "max_samples", "dense", "max_step"}, "integration")
+        _require_keys(cdoc, {"rtol", "atol", "max_samples", "max_step"}, "integration")
         for key in ("rtol", "atol", "max_step"):
             if key in cdoc:
                 ctrl_kwargs[key] = _number(cdoc[key], f"integration.{key}")
@@ -197,10 +196,6 @@ def parse_config(doc: dict, base_dir: Path = Path(".")) -> list[RunConfig]:
             ms = _number(cdoc["max_samples"], "integration.max_samples")
             # a count; a non-finite value is left for IntegrationControl to reject
             ctrl_kwargs["max_samples"] = int(ms) if is_finite(ms) else ms
-        if "dense" in cdoc:
-            if not isinstance(cdoc["dense"], bool):
-                raise ConfigError("integration.dense must be a boolean")
-            ctrl_kwargs["dense"] = cdoc["dense"]
     integration = IntegrationControl(**ctrl_kwargs)
 
     out_dir = base_dir
@@ -289,7 +284,9 @@ def load_config(path: str | Path) -> list[RunConfig]:
 
 def _atomic_write(path: Path, text: str):
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    # mode 0o666 under the umask, as open() would give the file itself
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)

@@ -13,21 +13,12 @@ vector; because the exact flow conserves the norm, the numerical drift of
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from . import rk
-from .bloch import (
-    BlochState,
-    BlochTrajectory,
-    IntegrationControl,
-    IntegratorStats,
-    default_initial_state,
-    default_t_end,
-    fast_phase_max_step,
-    output_grid,
-)
-from .params import DerivedParams, Regime, SampleParams, derive_params
+from .bloch import BlochState, BlochTrajectory, IntegrationControl, _integrate
+from .params import DerivedParams, Regime, SampleParams
 
 
 def _make_rhs(d: DerivedParams):
@@ -72,41 +63,25 @@ def integrate_strong(
     ctrl: IntegrationControl | None = None,
 ) -> BlochTrajectory:
     """Integrate the strong-coupling angle equations over [0, t_end]."""
-    d = derive_params(p)
-    if init is None:
-        init = default_initial_state(p)
-    if t_end is None:
-        t_end = default_t_end(p, Regime.STRONG)
-    if ctrl is None:
-        ctrl = IntegrationControl()
+    return _integrate(p, Regime.STRONG, _make_rhs, init, t_end, ctrl)[0]
 
-    grid = output_grid(t_end, d, ctrl)
-    res = rk.solve(
-        _make_rhs(d),
-        (init.theta, init.phi),
-        t_end,
-        grid,
-        rtol=ctrl.rtol,
-        atol=ctrl.atol,
-        max_step=fast_phase_max_step(d, ctrl),
-        keep_steps=ctrl.dense,
+
+def _cartesian_state(init: BlochState) -> tuple[float, float, float]:
+    return (
+        math.sin(init.theta) * math.cos(init.phi),
+        math.sin(init.theta) * math.sin(init.phi),
+        math.cos(init.theta),
     )
-    theta = np.clip(res.grid_values[0], 0.0, math.pi)
-    traj = BlochTrajectory(
-        params=d,
-        sample_params=p,
-        kind=Regime.STRONG,
-        t=grid,
-        theta=theta,
-        phi=res.grid_values[1],
-        t_end=t_end,
-        stats=IntegratorStats(res.n_accepted, res.n_rejected, res.max_error_ratio),
-    )
-    if ctrl.dense:
-        traj.step_t = res.step_times
-        traj.step_theta = res.step_values[0]
-        traj.step_phi = res.step_values[1]
-    return traj
+
+
+def _cartesian_angles(values: list[np.ndarray], init: BlochState):
+    sx, sy, sz = values
+    r = np.sqrt(sx * sx + sy * sy + sz * sz)
+    theta = np.arccos(np.clip(sz / r, -1.0, 1.0))
+    phi = np.unwrap(np.arctan2(sy, sx))
+    # unwrap starts at atan2's principal value; shift onto the requested branch
+    phi += init.phi - phi[0]
+    return theta, phi
 
 
 def integrate_cartesian(
@@ -119,40 +94,12 @@ def integrate_cartesian(
 
     Returns angles recovered from (sx, sy, sz); stats.norm_drift reports
     max | |s| - 1 | over all accepted steps.  Drift beyond 1e-6 is flagged
-    with a RuntimeWarning but the trajectory is still returned.  Natural
-    steps are always kept for the drift and exposed when ctrl.dense is set.
+    with a RuntimeWarning but the trajectory is still returned.
     """
-    d = derive_params(p)
-    if init is None:
-        init = default_initial_state(p)
-    if t_end is None:
-        t_end = default_t_end(p, Regime.STRONG)
-    if ctrl is None:
-        ctrl = IntegrationControl()
-
-    s0 = (
-        math.sin(init.theta) * math.cos(init.phi),
-        math.sin(init.theta) * math.sin(init.phi),
-        math.cos(init.theta),
+    traj, res = _integrate(
+        p, Regime.STRONG, _make_cartesian_rhs, init, t_end, ctrl,
+        to_state=_cartesian_state, to_angles=_cartesian_angles,
     )
-    grid = output_grid(t_end, d, ctrl)
-    res = rk.solve(
-        _make_cartesian_rhs(d),
-        s0,
-        t_end,
-        grid,
-        rtol=ctrl.rtol,
-        atol=ctrl.atol,
-        max_step=fast_phase_max_step(d, ctrl),
-        keep_steps=True,
-    )
-    sx, sy, sz = res.grid_values
-    r = np.sqrt(sx * sx + sy * sy + sz * sz)
-    theta = np.arccos(np.clip(sz / r, -1.0, 1.0))
-    phi = np.unwrap(np.arctan2(sy, sx))
-    # unwrap starts at atan2's principal value; shift onto the requested branch
-    phi += init.phi - phi[0]
-
     sxs, sys_, szs = res.step_values
     rs = np.sqrt(sxs * sxs + sys_ * sys_ + szs * szs)
     # index 0 is the initial point, not an accepted step
@@ -165,20 +112,5 @@ def integrate_cartesian(
             RuntimeWarning,
             stacklevel=2,
         )
-    traj = BlochTrajectory(
-        params=d,
-        sample_params=p,
-        kind=Regime.STRONG,
-        t=grid,
-        theta=theta,
-        phi=phi,
-        t_end=t_end,
-        stats=IntegratorStats(
-            res.n_accepted, res.n_rejected, res.max_error_ratio, norm_drift=drift
-        ),
-    )
-    if ctrl.dense:
-        traj.step_t = res.step_times
-        traj.step_theta = np.arccos(np.clip(szs / rs, -1.0, 1.0))
-        traj.step_phi = np.unwrap(np.arctan2(sys_, sxs))
+    traj.stats = replace(traj.stats, norm_drift=drift)
     return traj

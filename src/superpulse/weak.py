@@ -12,16 +12,14 @@ import math
 
 import numpy as np
 
-from . import rk
 from .bloch import (
     DEFAULT_PHI0,
     BlochState,
     BlochTrajectory,
     IntegrationControl,
     IntegratorStats,
-    default_initial_state,
+    _integrate,
     default_t_end,
-    fast_phase_max_step,
     output_grid,
 )
 from .params import DerivedParams, Regime, SampleParams, derive_params
@@ -101,58 +99,22 @@ def sample_weak_solution(
     )
 
 
+def _make_rhs(d: DerivedParams):
+    """dtheta/dt = (N-1)(Gamma/2) sin(theta); phi advances at the effective frequency."""
+    a = (d.n_atoms - 1.0) * d.gamma_eff / 2.0
+    om = d.omega_eff
+
+    def f(t, theta, phi):
+        return a * math.sin(theta), om
+
+    return f
+
+
 def integrate_weak_ode(
     p: SampleParams,
     init: BlochState | None = None,
     t_end: float | None = None,
     ctrl: IntegrationControl | None = None,
-    double_phase_rate: bool = False,
 ) -> BlochTrajectory:
-    """Numerically integrate the weak-coupling ODEs (validation path).
-
-    dtheta/dt = (N-1)(Gamma/2) sin(theta); phi advances linearly at the
-    effective frequency, or at twice it when double_phase_rate is set (the
-    two conventions appear side by side in the strong/weak derivations and
-    no observable in this regime depends on phi, so the factor is exposed
-    rather than decided).
-    """
-    d = derive_params(p)
-    if init is None:
-        init = default_initial_state(p)
-    if t_end is None:
-        t_end = default_t_end(p, Regime.WEAK)
-    if ctrl is None:
-        ctrl = IntegrationControl()
-
-    a = (p.n_atoms - 1.0) * d.gamma_eff / 2.0
-    om = 2.0 * d.omega_eff if double_phase_rate else d.omega_eff
-
-    def f(t, theta, phi):
-        return a * math.sin(theta), om
-
-    grid = output_grid(t_end, d, ctrl)
-    res = rk.solve(
-        f,
-        (init.theta, init.phi),
-        t_end,
-        grid,
-        rtol=ctrl.rtol,
-        atol=ctrl.atol,
-        max_step=fast_phase_max_step(d, ctrl),
-        keep_steps=ctrl.dense,
-    )
-    traj = BlochTrajectory(
-        params=d,
-        sample_params=p,
-        kind=Regime.WEAK,
-        t=grid,
-        theta=np.clip(res.grid_values[0], 0.0, math.pi),
-        phi=res.grid_values[1],
-        t_end=t_end,
-        stats=IntegratorStats(res.n_accepted, res.n_rejected, res.max_error_ratio),
-    )
-    if ctrl.dense:
-        traj.step_t = res.step_times
-        traj.step_theta = res.step_values[0]
-        traj.step_phi = res.step_values[1]
-    return traj
+    """Numerically integrate the weak-coupling ODEs (validation path)."""
+    return _integrate(p, Regime.WEAK, _make_rhs, init, t_end, ctrl)[0]

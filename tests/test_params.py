@@ -80,6 +80,7 @@ def test_regime_override_is_respected():
         (dict(n_atoms=math.inf, omega0=1e6), "n_atoms"),
         (dict(n_atoms=10**400, omega0=1e6), "n_atoms"),
         (dict(n_atoms=100, omega0=10**400), "omega0"),
+        (dict(n_atoms=10_000, omega0=1e-310, g=1.0), "alpha"),
     ],
 )
 def test_invalid_params_name_the_field(kwargs, field):

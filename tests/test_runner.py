@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import stat
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superpulse import ConfigError, ParameterDomainError, compute_metrics, derive_params
+from superpulse import ConfigError, ParameterDomainError, Regime, compute_metrics, derive_params
 from superpulse.cli import main
 from superpulse.runner import (
     PRESETS,
@@ -136,6 +139,7 @@ def test_invalid_n_atoms_names_field(tmp_path):
         {"params": {"n_atoms": "100", "omega0": 1e4}},
         {"params": {"n_atoms": 100, "omega0": 1e4, "g": 1.0},
          "sweep": {"param": "g", "values": [1000000, 1000000.0001]}},
+        {"params": {"n_atoms": 100, "omega0": 1e4}, "integration": {"dense": True}},
     ],
 )
 def test_bad_configs_rejected(tmp_path, doc):
@@ -218,8 +222,7 @@ FULL_CONFIG = {
     "label": "fast",
     "init": {"theta0": 0.01, "phi0": 0.5},
     "t_end": 1e-3,
-    "integration": {"rtol": 1e-9, "atol": 1e-12, "max_samples": 1000, "dense": True,
-                    "max_step": 1e-6},
+    "integration": {"rtol": 1e-9, "atol": 1e-12, "max_samples": 1000, "max_step": 1e-6},
     "outputs": {"directory": "out", "formats": ["csv", "json"]},
     "sweep": {"param": "g", "values": [0.0, 10.0]},
 }
@@ -341,10 +344,31 @@ def test_cli_sweep_label_collision_exit_code(tmp_path, capsys):
 
 
 def test_cli_dense_zero_window_runs(tmp_path, capsys):
-    doc = dict(FAST_CONFIG, regime="strong", t_end=0, integration={"dense": True})
+    doc = dict(FAST_CONFIG, regime="strong", t_end=0)
     path = write_config(tmp_path, doc)
     assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
     assert json.loads((tmp_path / "fast_metrics.json").read_text())["samples"] == 1
+
+
+def test_cli_run_without_emission_exit_code(tmp_path, capsys):
+    # the excited pole is a fixed point, so the run never emits
+    assert main(["preset", "fig2", "--theta0", "0", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: emission record is identically zero")
+    assert not list(tmp_path.iterdir())
+
+
+def test_output_files_take_the_umask_mode(tmp_path, capsys):
+    out = tmp_path / "out"
+    old = os.umask(0o022)
+    try:
+        run_config(write_config(tmp_path, FAST_CONFIG), out_dir=out)
+        assert main(["oracle", "--n", "10", "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    for name in ("fast_trajectory.csv", "fast_metrics.json", "oracle_n10_trajectory.csv",
+                 "oracle_n10_summary.json"):
+        assert stat.S_IMODE((out / name).stat().st_mode) == 0o644, name
 
 
 @pytest.mark.parametrize(
@@ -386,3 +410,66 @@ def test_cli_oracle(tmp_path, capsys):
     assert summary["quanta_emitted"] == pytest.approx(10.0, rel=1e-6)
     csv = (tmp_path / "oracle_n10_trajectory.csv").read_text().splitlines()
     assert csv[0] == "gamma_t,mean_m,intensity_over_gamma_omega0"
+
+
+# CLI float overrides: anything float() accepts, with the edge values forced in
+_override_floats = st.one_of(
+    st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf]), st.floats()
+)
+_OVERRIDES = ("--theta0", "--phi0", "--t-end", "--rtol")
+# every run stays cheap: at most this many grid samples and accepted steps
+_FUZZ_MAX_SAMPLES = 20_000
+
+
+def _nested(doc: dict, path: tuple) -> dict | None:
+    """The dict that holds path[-1], created empty if absent; None if a non-dict is there."""
+    if len(path) == 1:
+        return doc
+    parent = doc.setdefault(path[0], {})
+    return parent if isinstance(parent, dict) else None
+
+
+@st.composite
+def fast_config_mutants(draw):
+    """FAST_CONFIG in any regime, with a few keys dropped, set to
+    FULL_CONFIG's value, to an edge-case number or to arbitrary JSON, or
+    joined by unknown keys; the sample budget is then pinned at
+    _FUZZ_MAX_SAMPLES or below."""
+    doc = json.loads(json.dumps(FAST_CONFIG))
+    doc["regime"] = draw(st.sampled_from(sorted(r.value for r in Regime)))
+    for path in draw(st.lists(st.sampled_from(_KEY_PATHS), max_size=4)):
+        parent = _nested(doc, path)
+        if parent is None:
+            continue
+        action = draw(st.sampled_from(["drop", "full", "number", "replace", "add"]))
+        if action == "drop":
+            parent.pop(path[-1], None)
+        elif action == "full":
+            value = FULL_CONFIG[path[0]] if len(path) == 1 else FULL_CONFIG[path[0]][path[1]]
+            parent[path[-1]] = json.loads(json.dumps(value))
+        elif action == "number":
+            parent[path[-1]] = draw(_override_floats)
+        elif action == "replace":
+            parent[path[-1]] = draw(_json)
+        else:
+            parent[draw(st.text(max_size=6))] = draw(_json)
+    integration = _nested(doc, ("integration", "max_samples"))
+    if integration is not None:
+        ms = integration.get("max_samples")
+        if not (type(ms) in (int, float) and ms <= _FUZZ_MAX_SAMPLES):
+            integration["max_samples"] = _FUZZ_MAX_SAMPLES
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    doc=fast_config_mutants(),
+    overrides=st.lists(st.tuples(st.sampled_from(_OVERRIDES), _override_floats), max_size=4),
+)
+def test_cli_run_fuzz_exits_with_a_documented_code(doc, overrides):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(Path(tmp), doc)
+        argv = ["run", "--config", str(path), "--out", str(Path(tmp) / "out")]
+        # the --flag=value form keeps argparse from reading "-inf" as a flag
+        argv += [f"{flag}={value!r}" for flag, value in overrides]
+        assert main(argv) in (0, 2, 3, 4)

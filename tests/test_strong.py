@@ -13,6 +13,7 @@ from superpulse import (
     derive_params,
     integrate_cartesian,
     integrate_strong,
+    integrate_weak_ode,
 )
 from superpulse import rk
 from superpulse.strong import _make_rhs
@@ -48,17 +49,15 @@ def test_rhs_at_quarter_angles():
 
 def test_zero_window_returns_single_initial_sample():
     init = default_initial_state(P_FIG1)
-    for ctrl in (IntegrationControl(), IntegrationControl(dense=True)):
-        traj = integrate_strong(P_FIG1, t_end=0.0, ctrl=ctrl)
-        assert len(traj) == 1
-        assert traj.t[0] == 0.0
-        assert traj.theta[0] == init.theta
-        assert traj.phi[0] == init.phi
-        if ctrl.dense:
-            # the initial point is the only natural step
-            assert list(traj.step_t) == [0.0]
-            assert list(traj.step_theta) == [init.theta]
-            assert list(traj.step_phi) == [init.phi]
+    traj = integrate_strong(P_FIG1, t_end=0.0)
+    assert len(traj) == 1
+    assert traj.t[0] == 0.0
+    assert traj.theta[0] == init.theta
+    assert traj.phi[0] == init.phi
+    # the initial point is the only natural step
+    assert list(traj.step_t) == [0.0]
+    assert list(traj.step_theta) == [init.theta]
+    assert list(traj.step_phi) == [init.phi]
 
 
 def test_samples_start_at_zero_and_increase():
@@ -99,17 +98,45 @@ def test_self_convergence_under_tighter_tolerance():
     assert np.max(np.abs(eps_base - eps_tight)) < 1e-6 * scale
 
 
-def test_dense_flag_keeps_natural_steps():
-    traj = integrate_strong(P_FIG2, ctrl=IntegrationControl(dense=True))
-    assert traj.step_t is not None
-    assert len(traj.step_t) == traj.stats.n_steps + 1
-    assert traj.step_t[0] == 0.0
-    assert traj.step_t[-1] == pytest.approx(traj.t_end)
+def test_integrated_trajectories_keep_natural_steps():
+    for traj in (
+        integrate_strong(P_FIG2),
+        integrate_cartesian(P_FIG2, t_end=1e-4),
+        integrate_weak_ode(SampleParams(500, 1e4, 10.0)),
+    ):
+        n = traj.stats.n_steps + 1
+        assert len(traj.step_t) == len(traj.step_theta) == len(traj.step_phi) == n
+        assert traj.step_t[0] == 0.0
+        assert traj.step_t[-1] == traj.t_end
+        assert np.all(np.diff(traj.step_t) > 0)
+
+
+def test_dense_output_depends_only_on_the_step_sequence():
+    # the step controller never looks at the grid, so refining the grid
+    # leaves every shared sample bit-identical
+    grid = np.linspace(0.0, 1e-4, 201)
+    fine = np.sort(np.concatenate([grid, (grid[:-1] + grid[1:]) / 2.0]))
+    args = (RHS_FIG1, (0.1, 0.3), 1e-4)
+    coarse_res = rk.solve(*args, grid, 1e-9, 1e-12, 1e-6)
+    fine_res = rk.solve(*args, fine, 1e-9, 1e-12, 1e-6)
+    assert np.array_equal(fine[::2], grid)
+    for a, b in zip(coarse_res.grid_values, fine_res.grid_values):
+        assert np.array_equal(a, b[::2])
+    assert np.array_equal(coarse_res.step_times, fine_res.step_times)
+    assert coarse_res.n_accepted == fine_res.n_accepted > 10
 
 
 def test_sample_budget_guard():
     with pytest.raises(SampleBudgetError):
         integrate_strong(P_FIG1, ctrl=IntegrationControl(max_samples=1000))
+
+
+def test_step_budget_stops_a_stiff_window():
+    # at N = 1e9 the decaying polar mode near theta = pi holds explicit steps
+    # near 1/(N gamma), far below the 20-sample grid's spacing
+    p = SampleParams(10**9, 1e4, 10.0)
+    with pytest.raises(IntegrationFailure, match="step budget of 1000 "):
+        integrate_strong(p, t_end=1e-10, ctrl=IntegrationControl(max_samples=1000))
 
 
 def test_step_size_underflow_raises_with_last_state():
