@@ -27,7 +27,6 @@ from .ladder import (
     evolve_ladder,
     fully_excited,
     ladder_intensity,
-    step_ladder,
 )
 from .observables import emission_arrays
 from .params import (

@@ -41,14 +41,16 @@ class SampleBudgetError(SimulationError):
     def __init__(self, requested: int, limit: int):
         self.requested = requested
         self.limit = limit
+        # past 2**53 the count came from a float, so its low digits are noise
+        shown = requested if requested < 2**53 else f"{requested:.3g}"
         super().__init__(
-            f"output grid needs {requested} samples, exceeding the"
+            f"output grid needs {shown} samples, exceeding the"
             f" max_samples budget of {limit}"
         )
 
 
 class StepSizeError(SimulationError, ValueError):
-    """A ladder step was too large for positivity of the populations."""
+    """The ladder propagation drifted off unit total population."""
 
 
 class EmptyAnalysisError(SimulationError, ValueError):

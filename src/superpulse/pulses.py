@@ -26,6 +26,11 @@ SECH2_FWHM_FACTOR = 2.0 * math.acosh(math.sqrt(2.0))
 # reject resampling ripple without suppressing genuine comb teeth
 PROMINENCE_FRACTION = 1e-3
 
+NO_EMISSION = (
+    "emission record is identically zero: nothing to analyse"
+    " (an initial state on a pole of the Bloch sphere never emits)"
+)
+
 
 @dataclass(frozen=True)
 class Superpulse:
@@ -123,10 +128,7 @@ def find_superpulses(
     t, y = _as_arrays(records)
     gmax = y.max()
     if gmax <= 0.0:
-        raise EmptyAnalysisError(
-            "emission record is identically zero: nothing to analyse"
-            " (an initial state on a pole of the Bloch sphere never emits)"
-        )
+        raise EmptyAnalysisError(NO_EMISSION)
 
     idx = _local_maxima(y)
     if len(idx) == 0:

@@ -10,6 +10,7 @@ atomically.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -23,11 +24,17 @@ from .bloch import (
     default_initial_state,
     default_t_end,
 )
-from .errors import ConfigError
+from .errors import ConfigError, EmptyAnalysisError
 from .ladder import LadderRun
 from .observables import emission_arrays
 from .params import DerivedParams, Regime, SampleParams, derive_params, is_finite
-from .pulses import SECH2_FWHM_FACTOR, PROMINENCE_FRACTION, PulseMetrics, compute_metrics
+from .pulses import (
+    NO_EMISSION,
+    PROMINENCE_FRACTION,
+    SECH2_FWHM_FACTOR,
+    PulseMetrics,
+    compute_metrics,
+)
 from .strong import integrate_strong
 from .weak import sample_weak_solution
 
@@ -387,6 +394,10 @@ def execute(cfg: RunConfig) -> RunResult:
     d = derive_params(p)
     t_end = cfg.resolved_t_end()
     init = cfg.resolved_init()
+    # both poles are fixed points, but sin(math.pi) is 1.2e-16, not 0, so
+    # the pulse analysis would otherwise measure roundoff
+    if init.theta in (0.0, math.pi):
+        raise EmptyAnalysisError(NO_EMISSION)
     if p.regime.is_weak_like():
         traj = sample_weak_solution(p, t_end=t_end, ctrl=cfg.integration, phi0=init.phi)
     else:

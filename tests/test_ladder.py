@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,12 +9,10 @@ from hypothesis import strategies as st
 from superpulse import (
     LadderState,
     ParameterDomainError,
-    StepSizeError,
     cascade_rates,
     evolve_ladder,
     fully_excited,
     ladder_intensity,
-    step_ladder,
 )
 
 
@@ -31,15 +30,36 @@ def test_fully_excited_state():
     assert s.mean_m() == 5.0
 
 
-def test_step_zero_dt_is_identity():
-    s = fully_excited(6)
-    assert step_ladder(s, 1.0, 0.0) is s
+def test_interval_propagator_matches_plain_rk4_steps():
+    # m classical RK4 steps of size h per output interval, h = interval/m at
+    # no more than half the positivity bound, stepped one by one
+    n, gamma_eff, t_end, n_out = 10, 1.37, 2.0, 21
+    run = evolve_ladder(n, gamma_eff, t_end, n_out=n_out)
+    g = cascade_rates(n)
+    interval = t_end / (n_out - 1)
+    m = math.ceil(interval * gamma_eff * g.max() / 0.05)
+    h = interval / m
+
+    def flow(p):
+        flux = gamma_eff * g * p
+        return np.concatenate(([0.0], flux[:-1])) - flux
+
+    p = fully_excited(n).populations
+    for i in range(1, n_out):
+        for _ in range(m):
+            k1 = flow(p)
+            k2 = flow(p + 0.5 * h * k1)
+            k3 = flow(p + 0.5 * h * k2)
+            k4 = flow(p + h * k3)
+            p = p + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert np.max(np.abs(run.populations[i] - p)) < 1e-12
 
 
-def test_step_rejects_unstable_dt():
-    s = fully_excited(10)
-    with pytest.raises(StepSizeError):
-        step_ladder(s, 1.0, 0.01)  # dt * max_rate = 0.3 >= 0.1
+def test_long_window_costs_no_more_steps():
+    start = time.perf_counter()
+    run = evolve_ladder(100, 1.0, 1e6)
+    assert time.perf_counter() - start < 1.0
+    assert run.mean_m[0] - run.mean_m[-1] == pytest.approx(100.0, rel=1e-12)
 
 
 def test_two_atom_cascade_closed_form():
@@ -118,8 +138,9 @@ def test_population_validation():
 
 
 def test_oracle_n_cap():
-    with pytest.raises(ParameterDomainError):
-        fully_excited(10_001)
+    for n in (1, 2_001, 10_001):
+        with pytest.raises(ParameterDomainError, match="^n_atoms: "):
+            fully_excited(n)
 
 
 @given(

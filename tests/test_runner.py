@@ -10,7 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superpulse import ConfigError, ParameterDomainError, Regime, compute_metrics, derive_params
+from superpulse import (
+    ConfigError,
+    ParameterDomainError,
+    Regime,
+    SampleBudgetError,
+    compute_metrics,
+    derive_params,
+    runner,
+)
 from superpulse.cli import main
 from superpulse.runner import (
     PRESETS,
@@ -358,6 +366,19 @@ def test_cli_run_without_emission_exit_code(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_cli_run_from_the_ground_state_exit_code(tmp_path, capsys, monkeypatch):
+    # sin(pi) is 1.2e-16, not 0: the run is refused before integrating
+    # instead of measuring pulses on roundoff
+    def never(*args, **kwargs):
+        raise AssertionError("integrated a ground-state run")
+
+    monkeypatch.setattr(runner, "integrate_strong", never)
+    assert main(["preset", "fig2", "--theta0", repr(math.pi), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: emission record is identically zero")
+    assert not list(tmp_path.iterdir())
+
+
 def test_output_files_take_the_umask_mode(tmp_path, capsys):
     out = tmp_path / "out"
     old = os.umask(0o022)
@@ -380,6 +401,9 @@ def test_output_files_take_the_umask_mode(tmp_path, capsys):
         (["--n", "10", "--omega-ratio", "inf"], "omega_ratio"),
         (["--n", "10", "--t-end", "nan"], "t_end"),
         (["--n", "10", "--t-end", "inf"], "t_end"),
+        (["--n", "2001"], "n_atoms"),
+        # gamma_eff * t_end is finite, but the substep count is not
+        (["--n", "100", "--gamma-eff", "1e300", "--t-end", "1e300"], "t_end"),
     ],
 )
 def test_cli_oracle_out_of_domain_numbers_exit_code(tmp_path, capsys, argv, field):
@@ -393,6 +417,15 @@ def test_cli_budget_exit_code(tmp_path, capsys):
     doc["t_end"] = 1e6  # grid would need ~1e10 samples
     path = write_config(tmp_path, doc)
     assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 3
+
+
+def test_cli_budget_error_prints_a_short_count(tmp_path, capsys):
+    assert main(["preset", "fig7", "--t-end", "1e300", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("integration error: output grid needs ")
+    assert len(err) < 200
+    # counts a float still holds exactly are printed in full
+    assert "needs 10000000001 samples" in str(SampleBudgetError(10**10 + 1, 2_000_000))
 
 
 def test_cli_io_exit_code(tmp_path, capsys):
@@ -472,4 +505,28 @@ def test_cli_run_fuzz_exits_with_a_documented_code(doc, overrides):
         argv = ["run", "--config", str(path), "--out", str(Path(tmp) / "out")]
         # the --flag=value form keeps argparse from reading "-inf" as a flag
         argv += [f"{flag}={value!r}" for flag, value in overrides]
+        assert main(argv) in (0, 2, 3, 4)
+
+
+# oracle floats: anything float() accepts, with the edge values and both
+# ends of the float range forced in
+_oracle_floats = st.one_of(
+    st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf, 1e300, 1e-300]), st.floats()
+)
+
+
+# the interval propagator's cost grows with log(t_end), not t_end, so any
+# window is cheap; N is held to 200 so each (N+1)^2 matrix stays small
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=200),
+    options=st.lists(
+        st.tuples(st.sampled_from(("--t-end", "--gamma-eff", "--omega-ratio")), _oracle_floats),
+        max_size=3,
+    ),
+)
+def test_cli_oracle_fuzz_exits_with_a_documented_code(n, options):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["oracle", "--n", str(n), "--out", tmp]
+        argv += [f"{flag}={value!r}" for flag, value in options]
         assert main(argv) in (0, 2, 3, 4)
