@@ -129,8 +129,15 @@ def evolve_ladder(
     if not (math.isfinite(t_end) and t_end > 0):
         raise ParameterDomainError("t_end", f"must be finite and positive, got {t_end!r}")
     rates = cascade_rates(n_atoms)
+    # plain floats from here: an overflow gives inf for the checks, not a numpy warning
+    peak_rate = float(rates.max())
+    if not math.isfinite(omega_ratio * gamma_eff * peak_rate):
+        raise ParameterDomainError(
+            "omega_ratio", f"{omega_ratio!r} at gamma_eff {gamma_eff!r} overflows the"
+            " scaled intensity"
+        )
     interval = t_end / (n_out - 1) * gamma_eff  # output spacing in units of 1/gamma_eff
-    substeps = interval * rates.max() / (0.5 * MAX_STEP_RATE_PRODUCT)
+    substeps = interval * peak_rate / (0.5 * MAX_STEP_RATE_PRODUCT)
     if not math.isfinite(substeps):
         raise ParameterDomainError(
             "t_end", f"{t_end!r} at gamma_eff {gamma_eff!r} needs more RK4 substeps"

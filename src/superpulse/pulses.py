@@ -70,30 +70,41 @@ def _local_maxima(y: np.ndarray) -> np.ndarray:
 
 
 def _prominences(y: np.ndarray, peaks: np.ndarray) -> np.ndarray:
-    """Prominence of each peak over the maxima/valley skeleton."""
-    k = len(peaks)
-    heights = y[peaks]
-    # valley minima between consecutive peaks plus the two boundary segments
-    valleys = np.empty(k + 1)
-    valleys[0] = y[: peaks[0] + 1].min()
-    for i in range(k - 1):
-        valleys[i + 1] = y[peaks[i]: peaks[i + 1] + 1].min()
-    valleys[k] = y[peaks[-1]:].min()
+    """Prominence of each peak over the maxima/valley skeleton.
 
-    prom = np.empty(k)
-    for i in range(k):
-        base_left = valleys[i]
-        j = i - 1
-        while j >= 0 and heights[j] <= heights[i]:
-            base_left = min(base_left, valleys[j])
-            j -= 1
-        base_right = valleys[i + 1]
-        j = i + 1
-        while j < k and heights[j] <= heights[i]:
-            base_right = min(base_right, valleys[j + 1])
-            j += 1
-        prom[i] = heights[i] - max(base_left, base_right)
-    return prom
+    A peak's base on each side is the lowest valley out to the nearest
+    strictly higher peak (or the record's end).  Two monotone-stack passes
+    find it in O(k): each stack entry carries the running minimum of the
+    valleys it has absorbed.  Only min and max touch the values, so the
+    result is exact.
+    """
+    heights = y[peaks].tolist()
+    # valleys[i] lies between peaks i-1 and i; valleys[0] and valleys[k] are
+    # the boundary segments.  A reduceat segment stops one short of the next
+    # peak, which is higher than its left neighbour and so never the minimum.
+    valleys = [float(y[: peaks[0] + 1].min()), *np.minimum.reduceat(y, peaks).tolist()]
+    k = len(heights)
+    base_left = _bases(heights, valleys[:k], range(k))
+    base_right = _bases(heights, valleys[1:], range(k - 1, -1, -1))
+    return y[peaks] - np.maximum(base_left, base_right)
+
+
+def _bases(heights: list, valleys: list, order: range) -> np.ndarray:
+    """Per peak, the lowest valley between it and the nearest strictly
+    higher peak on one side.
+
+    order walks the peaks away from that side; valleys[i] is the valley
+    next to peak i on that side.
+    """
+    base = np.empty(len(heights))
+    stack: list[tuple[float, float]] = []  # (height, lowest valley absorbed)
+    for i in order:
+        low = valleys[i]
+        while stack and stack[-1][0] <= heights[i]:
+            low = min(low, stack.pop()[1])
+        base[i] = low
+        stack.append((heights[i], low))
+    return base
 
 
 def _half_crossing(t, y, i_from, i_to, half):

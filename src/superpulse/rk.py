@@ -6,6 +6,13 @@ the right-hand side is called with unpacked components; this keeps the per
 step cost low enough that desk-scale runs with millions of fast-phase
 oscillations finish in seconds.
 
+One step attempt is straight-line Python generated from the tableau below
+once per state size: every stage, the solution and the error components
+are unrolled sums, left to right from 0.0 with the zero-coefficient terms
+kept.  That is the rounding of a plain float loop (and of sum() before
+Python 3.12, whose sum() compensates), so results do not depend on the
+interpreter version.
+
 Every accepted step is recorded (start time, size, state and stages).
 After stepping, the pair's matched quartic dense-output polynomial is
 evaluated on the whole caller-supplied output grid in one numpy pass, so
@@ -17,7 +24,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import chain
+from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -88,6 +95,7 @@ def solve(
     raises IntegrationFailure.
     """
     ndim = len(y0)
+    step = _step_kernel(ndim)
     y = tuple(float(v) for v in y0)
     t = 0.0
     f = rhs(t, *y)
@@ -114,32 +122,14 @@ def solve(
         if h < 16.0 * eps * max(abs(t), t_end):
             raise IntegrationFailure("step size underflow", t, y)
 
-        k = [f]
-        for s in range(1, 6):
-            a = _A[s]
-            ys = tuple(
-                y[i] + h * sum(a[j] * k[j][i] for j in range(s)) for i in range(ndim)
-            )
-            k.append(rhs(t + _C[s] * h, *ys))
-        z = tuple(
-            y[i] + h * sum(_B[j] * k[j][i] for j in range(6)) for i in range(ndim)
-        )
-        k.append(rhs(t + h, *z))
-
-        err = 0.0
-        for i in range(ndim):
-            e = h * sum(_E[j] * k[j][i] for j in range(7))
-            sc = atol + rtol * max(abs(y[i]), abs(z[i]))
-            r = e / sc
-            err += r * r
-        err = math.sqrt(err / ndim)
+        z, ks, err = step(rhs, t, h, y, f, atol, rtol)
 
         if err <= 1.0:
-            steps.extend(chain((t, h), y, *k))
+            steps.extend((t, h, *y, *ks))
             # land exactly on t_end; t + h can fall an ulp short of it
             t = t_end if final_step else t + h
             y = z
-            f = k[6]
+            f = ks[-ndim:]
             n_acc += 1
             rejects_in_a_row = 0
             if err > max_err:
@@ -173,6 +163,48 @@ def solve(
         step_times,
         step_values,
     )
+
+
+def _step_source(ndim: int) -> str:
+    """Source of step(rhs, t, h, y, f, atol, rtol) -> (z, stages, err) for ndim components.
+
+    stages holds the seven stages flattened stage-major; err is the RMS of
+    the scaled error components.
+    """
+    comps = range(ndim)
+
+    def combo(coefs, i):
+        return " + ".join(["0.0"] + [f"{c!r} * k{j}_{i}" for j, c in enumerate(coefs)])
+
+    def names(stem):
+        return ", ".join(f"{stem}{i}" for i in comps)
+
+    lines = [
+        "def step(rhs, t, h, y, f, atol, rtol):",
+        f"    {names('y')}, = y",
+        f"    {names('k0_')}, = f",
+    ]
+    for s in range(1, 6):
+        args = ", ".join(f"y{i} + h * ({combo(_A[s], i)})" for i in comps)
+        lines.append(f"    {names(f'k{s}_')}, = rhs(t + {_C[s]!r} * h, {args})")
+    lines += [f"    z{i} = y{i} + h * ({combo(_B, i)})" for i in comps]
+    lines.append(f"    {names('k6_')}, = rhs(t + h, {names('z')})")
+    lines += [
+        f"    r{i} = h * ({combo(_E, i)}) / (atol + rtol * max(abs(y{i}), abs(z{i})))"
+        for i in comps
+    ]
+    stages = ", ".join(f"k{j}_{i}" for j in range(7) for i in comps)
+    squares = " + ".join(["0.0"] + [f"r{i} * r{i}" for i in comps])
+    lines.append(f"    return ({names('z')},), ({stages},), sqrt(({squares}) / {ndim})")
+    return "\n".join(lines) + "\n"
+
+
+@cache
+def _step_kernel(ndim: int):
+    """The generated step function for ndim state components (see _step_source)."""
+    namespace = {"sqrt": math.sqrt}
+    exec(compile(_step_source(ndim), f"<dp5 step, ndim={ndim}>", "exec"), namespace)
+    return namespace["step"]
 
 
 def _dense_output(grid, step_times, h, step_values, stages) -> list[np.ndarray]:

@@ -24,7 +24,7 @@ from .bloch import (
     default_initial_state,
     default_t_end,
 )
-from .errors import ConfigError, EmptyAnalysisError
+from .errors import ConfigError, EmptyAnalysisError, ParameterDomainError
 from .ladder import LadderRun
 from .observables import emission_arrays
 from .params import DerivedParams, Regime, SampleParams, derive_params, is_finite
@@ -43,6 +43,8 @@ ORACLE_HEADER = "gamma_t,mean_m,intensity_over_gamma_omega0"
 
 # output files a run can write: the trajectory CSV and the metrics JSON
 FORMATS = ("csv", "json")
+
+_CSV_BLOCK_ROWS = 1000
 
 MEASUREMENT_DEFINITIONS = {
     "envelope": "piecewise-linear interpolation through superpulse peaks",
@@ -116,7 +118,16 @@ def _apply_overrides(
     theta0: float | None = None,
     phi0: float | None = None,
 ) -> RunConfig:
-    """cfg with the given fields replaced; an unset angle keeps its resolved value."""
+    """cfg with the given fields replaced; an unset angle keeps its resolved value.
+
+    A weak-like run evaluates the closed form, which starts at the default
+    angle and takes only phi0, so a theta0 there is rejected, not ignored.
+    """
+    if theta0 is not None and cfg.params.regime.is_weak_like():
+        raise ParameterDomainError(
+            "theta0", f"a {cfg.params.regime.value} run starts on the closed form at the"
+            f" default angle; got an override of {theta0!r}"
+        )
     changes = {}
     if out_dir is not None:
         changes["out_dir"] = Path(out_dir)
@@ -311,10 +322,14 @@ def _write_json(path: Path, doc: dict):
 def write_trajectory_csv(path: Path, *columns, header: str = TRAJECTORY_HEADER):
     """One header line, then one row per sample at 17 significant digits."""
     row = ",".join(["%.17g"] * len(columns))
-    rows = [header]
-    rows.extend(row % values for values in zip(*columns))
-    rows.append("")
-    _atomic_write(path, "\n".join(rows))
+    values = np.column_stack(columns)
+    # one % per block of rows: far fewer format calls and row strings alive
+    blocks = [header]
+    for start in range(0, len(values), _CSV_BLOCK_ROWS):
+        block = values[start:start + _CSV_BLOCK_ROWS]
+        blocks.append("\n".join([row] * len(block)) % tuple(block.ravel().tolist()))
+    blocks.append("")
+    _atomic_write(path, "\n".join(blocks))
 
 
 def read_trajectory_csv(path: str | Path):
@@ -332,20 +347,29 @@ def write_oracle(
     omega_ratio: float,
 ) -> Path:
     """Write an exact-cascade run's trajectory CSV and summary JSON; returns the CSV path."""
-    out_dir = Path(out_dir)
-    csv_path = out_dir / f"oracle_n{n_atoms}_trajectory.csv"
-    write_trajectory_csv(csv_path, run.t, run.mean_m, run.intensity, header=ORACLE_HEADER)
+    t_end = float(run.t[-1])
+    peak = float(run.intensity.max())
+    with np.errstate(over="ignore"):  # an overflow is reported just below
+        total = float(np.trapezoid(run.intensity, run.t))
+    if not math.isfinite(total):
+        raise ParameterDomainError(
+            "t_end", f"{t_end!r} at a peak intensity of {peak!r} overflows the integrated"
+            " intensity"
+        )
     summary = {
         "n_atoms": n_atoms,
         "gamma_eff": gamma_eff,
         "omega_ratio": omega_ratio,
-        "t_end": float(run.t[-1]),
-        "peak_intensity": float(run.intensity.max()),
+        "t_end": t_end,
+        "peak_intensity": peak,
         "peak_time": float(run.t[int(np.argmax(run.intensity))]),
-        "integrated_intensity": float(np.trapezoid(run.intensity, run.t)),
+        "integrated_intensity": total,
         "quanta_emitted": float(run.mean_m[0] - run.mean_m[-1]),
         "final_mean_m": float(run.mean_m[-1]),
     }
+    out_dir = Path(out_dir)
+    csv_path = out_dir / f"oracle_n{n_atoms}_trajectory.csv"
+    write_trajectory_csv(csv_path, run.t, run.mean_m, run.intensity, header=ORACLE_HEADER)
     _write_json(out_dir / f"oracle_n{n_atoms}_summary.json", summary)
     return csv_path
 
@@ -448,7 +472,8 @@ def run_config(
     phi0: float | None = None,
 ) -> list[RunResult]:
     """Execute every run described by a configuration file."""
-    return [
-        execute(_apply_overrides(cfg, out_dir, rtol, t_end, theta0, phi0))
-        for cfg in load_config(path)
+    # every override is checked before the first run writes a file
+    configs = [
+        _apply_overrides(cfg, out_dir, rtol, t_end, theta0, phi0) for cfg in load_config(path)
     ]
+    return [execute(cfg) for cfg in configs]

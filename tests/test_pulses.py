@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superpulse import (
@@ -18,7 +18,7 @@ from superpulse import (
     find_superpulses,
     sample_weak_solution,
 )
-from superpulse.pulses import SECH2_FWHM_FACTOR
+from superpulse.pulses import SECH2_FWHM_FACTOR, _local_maxima, _prominences
 
 
 def sech2(x):
@@ -140,3 +140,80 @@ def test_ratios_cover_all_five_metrics():
     assert m.ratios["peak_intensity"] == pytest.approx(
         m.peak_intensity_scaled / d.peak_intensity_pred
     )
+
+
+# --- prominences against the quadratic reference -------------------------
+
+def prominences_reference(y, peaks):
+    """The direct O(k^2) walk: from each peak, out to the nearest strictly
+    higher peak on each side, taking the lowest valley on the way."""
+    k = len(peaks)
+    heights = y[peaks]
+    valleys = np.empty(k + 1)
+    valleys[0] = y[: peaks[0] + 1].min()
+    for i in range(k - 1):
+        valleys[i + 1] = y[peaks[i]: peaks[i + 1] + 1].min()
+    valleys[k] = y[peaks[-1]:].min()
+
+    prom = np.empty(k)
+    for i in range(k):
+        base_left = valleys[i]
+        j = i - 1
+        while j >= 0 and heights[j] <= heights[i]:
+            base_left = min(base_left, valleys[j])
+            j -= 1
+        base_right = valleys[i + 1]
+        j = i + 1
+        while j < k and heights[j] <= heights[i]:
+            base_right = min(base_right, valleys[j + 1])
+            j += 1
+        prom[i] = heights[i] - max(base_left, base_right)
+    return prom
+
+
+_levels = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+@st.composite
+def skeleton_signals(draw):
+    """Random samples, samples drawn from a few levels (long plateaus and
+    tied peaks), or runs that each rise or fall monotonically."""
+    kind = draw(st.sampled_from(["random", "plateau", "monotone"]))
+    if kind == "random":
+        return np.array(draw(st.lists(_levels, min_size=3, max_size=200)))
+    if kind == "plateau":
+        levels = draw(st.lists(_levels, min_size=1, max_size=4))
+        picks = draw(st.lists(st.integers(0, len(levels) - 1), min_size=3, max_size=200))
+        return np.array([levels[i] for i in picks])
+    runs = []
+    for start, step, length in draw(
+        st.lists(st.tuples(_levels, _levels, st.integers(1, 30)), min_size=1, max_size=12)
+    ):
+        runs.append(start + step * np.arange(length))
+    return np.concatenate(runs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(y=skeleton_signals())
+def test_prominences_match_the_quadratic_reference(y):
+    peaks = _local_maxima(y)
+    if len(peaks):
+        assert np.array_equal(_prominences(y, peaks), prominences_reference(y, peaks))
+
+
+def test_prominences_match_the_reference_on_a_comb():
+    t, y = comb(n=20001)
+    y = y + 1e-4 * np.sin(3e6 * t) ** 2  # resampling-like ripple between the teeth
+    peaks = _local_maxima(y)
+    assert len(peaks) > 100
+    assert np.array_equal(_prominences(y, peaks), prominences_reference(y, peaks))
+
+
+@pytest.mark.filterwarnings("ignore:some peaks have a prominence of 0")
+@settings(max_examples=100, deadline=None)
+@given(y=skeleton_signals())
+def test_prominences_match_scipy(y):
+    signal = pytest.importorskip("scipy.signal")
+    peaks = _local_maxima(y)
+    if len(peaks):
+        assert np.array_equal(_prominences(y, peaks), signal.peak_prominences(y, peaks)[0])

@@ -226,7 +226,8 @@ _json = st.recursive(
 # uses every key the config format knows
 FULL_CONFIG = {
     "params": {"n_atoms": 500, "omega0": 1e4, "g": 10.0, "gamma": 1.0},
-    "regime": "weak",
+    # strong, since a weak-like run takes no theta0
+    "regime": "strong",
     "label": "fast",
     "init": {"theta0": 0.01, "phi0": 0.5},
     "t_end": 1e-3,
@@ -289,11 +290,41 @@ def test_unknown_preset_rejected(tmp_path):
 
 
 def test_preset_overrides_recorded(tmp_path):
-    result = run_preset("fig7", out_dir=tmp_path, t_end=1e-3, theta0=0.01, phi0=0.5)
+    result = run_preset("fig7", out_dir=tmp_path, t_end=1e-3, phi0=0.5)
     cfg = json.loads(result.metrics_path.read_text())["config"]
     assert cfg["t_end"] == 1e-3
-    assert cfg["init"]["theta0"] == 0.01
+    # the angle the closed form actually starts from
+    assert cfg["init"]["theta0"] == runner.preset_config("fig7").resolved_init().theta
     assert cfg["init"]["phi0"] == 0.5
+
+
+@pytest.mark.parametrize("regime", ["weak", "dicke"])
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_weak_theta0_override_rejected(tmp_path, capsys, regime, where):
+    # the closed form starts at the default angle; a theta0 it would ignore
+    # is refused before any run writes a file
+    doc = dict(FAST_CONFIG, regime=regime, params=dict(FAST_CONFIG["params"], g=0.0))
+    argv = ["--theta0", "0.5"] if where == "flag" else []
+    if where == "config":
+        doc["init"] = {"theta0": 0.5}
+    path = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out), *argv]) == 2
+    assert capsys.readouterr().err.startswith("validation error: theta0")
+    assert not out.exists()
+
+
+def test_weak_theta0_flag_rejected_for_a_preset_and_a_mixed_sweep(tmp_path, capsys):
+    # the sweep's first point is strong, its last weak
+    doc = dict(FAST_CONFIG, sweep={"param": "omega0", "values": [1e3, 1e6]})
+    doc.pop("regime")
+    path = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out), "--theta0", "0.5"]) == 2
+    assert capsys.readouterr().err.startswith("validation error: theta0")
+    assert not out.exists()
+    assert main(["preset", "fig7", "--theta0", "0.5", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 # --- command-line interface ----------------------------------------------
@@ -404,6 +435,9 @@ def test_output_files_take_the_umask_mode(tmp_path, capsys):
         (["--n", "2001"], "n_atoms"),
         # gamma_eff * t_end is finite, but the substep count is not
         (["--n", "100", "--gamma-eff", "1e300", "--t-end", "1e300"], "t_end"),
+        # finite inputs whose scaled intensity, or only its time integral, overflows
+        (["--n", "10", "--gamma-eff", "1e300", "--omega-ratio", "1e300"], "omega_ratio"),
+        (["--n", "10", "--t-end", "1e300", "--omega-ratio", "1e300"], "t_end"),
     ],
 )
 def test_cli_oracle_out_of_domain_numbers_exit_code(tmp_path, capsys, argv, field):
@@ -525,8 +559,19 @@ _oracle_floats = st.one_of(
         max_size=3,
     ),
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_oracle_fuzz_exits_with_a_documented_code(n, options):
     with tempfile.TemporaryDirectory() as tmp:
         argv = ["oracle", "--n", str(n), "--out", tmp]
         argv += [f"{flag}={value!r}" for flag, value in options]
-        assert main(argv) in (0, 2, 3, 4)
+        code = main(argv)
+        assert code in (0, 2, 3, 4)
+        if code == 0:  # the summary is strict JSON: no Infinity or NaN
+            json.loads(
+                (Path(tmp) / f"oracle_n{n}_summary.json").read_text(),
+                parse_constant=_reject_constant,
+            )
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite number {name} in strict JSON")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superpulse import (
     BlochState,
@@ -16,7 +18,7 @@ from superpulse import (
     integrate_weak_ode,
 )
 from superpulse import rk
-from superpulse.strong import _make_rhs
+from superpulse.strong import _make_cartesian_rhs, _make_rhs
 
 P_FIG1 = SampleParams(10_000, 1e6, 1e2)
 P_FIG2 = SampleParams(10_000, 1e5, 1e2)   # same physics, ~20x cheaper window
@@ -148,6 +150,55 @@ def test_step_size_underflow_raises_with_last_state():
         rk.solve(bad, (1.0,), 1.0, np.linspace(0, 1, 11), 1e-9, 1e-12, 0.1)
     assert exc.value.t == 0.0
     assert exc.value.state == (1.0,)
+
+
+def plain_dp5_step(rhs, t, h, y, f, atol, rtol):
+    """One step attempt straight from the tableau, every sum accumulated
+    left to right from 0.0 in an explicit loop."""
+    ndim = len(y)
+    k = [tuple(f)]
+
+    def combo(coefs, i):
+        acc = 0.0
+        for j, c in enumerate(coefs):
+            acc = acc + c * k[j][i]
+        return acc
+
+    for s in range(1, 6):
+        ys = [y[i] + h * combo(rk._A[s], i) for i in range(ndim)]
+        k.append(tuple(rhs(t + rk._C[s] * h, *ys)))
+    z = tuple(y[i] + h * combo(rk._B, i) for i in range(ndim))
+    k.append(tuple(rhs(t + h, *z)))
+    err = 0.0
+    for i in range(ndim):
+        r = h * combo(rk._E, i) / (atol + rtol * max(abs(y[i]), abs(z[i])))
+        err = err + r * r
+    return z, [v for stage in k for v in stage], math.sqrt(err / ndim)
+
+
+def _bits(values):
+    return np.array(values, dtype=float).view(np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cartesian=st.booleans(),
+    angles=st.tuples(st.floats(0.0, math.pi), st.floats(-10.0, 10.0)),
+    t=st.floats(0.0, 1e-2),
+    h=st.floats(1e-12, 1e-5),
+)
+def test_generated_step_matches_the_plain_tableau_loop(cartesian, angles, t, h):
+    theta, phi = angles
+    if cartesian:
+        rhs = _make_cartesian_rhs(D_FIG1)
+        y = (math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta))
+    else:
+        rhs, y = RHS_FIG1, (theta, phi)
+    f = rhs(t, *y)
+    got = rk._step_kernel(len(y))(rhs, t, h, y, f, 1e-12, 1e-9)
+    want = plain_dp5_step(rhs, t, h, y, f, 1e-12, 1e-9)
+    for a, b in zip(got, want):  # z, the seven stages, the error
+        assert np.array_equal(_bits(a), _bits(b))
 
 
 # --- cartesian diagnostic twin -------------------------------------------
