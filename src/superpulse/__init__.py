@@ -20,14 +20,7 @@ from .errors import (
     SimulationError,
     StepSizeError,
 )
-from .ladder import (
-    LadderRun,
-    LadderState,
-    cascade_rates,
-    evolve_ladder,
-    fully_excited,
-    ladder_intensity,
-)
+from .ladder import LadderRun, cascade_rates, evolve_ladder
 from .observables import emission_arrays
 from .params import (
     DerivedParams,

@@ -51,7 +51,11 @@ class IntegrationControl:
             value = getattr(self, name)
             if not (is_finite(value) and value > 0):
                 raise ParameterDomainError(name, f"must be finite and positive, got {value!r}")
-        if not (is_finite(self.max_samples) and self.max_samples >= 1):
+        ms = self.max_samples
+        if not (is_finite(ms) and float(ms).is_integer()):
+            raise ParameterDomainError("max_samples", f"must be an integer, got {ms!r}")
+        object.__setattr__(self, "max_samples", int(ms))
+        if self.max_samples < 1:
             raise ParameterDomainError("max_samples", "need at least one sample")
         if self.max_step is not None and not (is_finite(self.max_step) and self.max_step > 0):
             raise ParameterDomainError(

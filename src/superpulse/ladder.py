@@ -36,60 +36,10 @@ MAX_STEP_RATE_PRODUCT = 0.1
 N_ORACLE_CAP = 2_000
 
 
-@dataclass(frozen=True)
-class LadderState:
-    """Populations over the symmetric levels, ordered M = J down to -J."""
-
-    j: float
-    populations: np.ndarray
-    t: float = 0.0
-
-    def __post_init__(self):
-        pops = np.asarray(self.populations, dtype=float)
-        object.__setattr__(self, "populations", pops)
-        if len(pops) != int(round(2 * self.j)) + 1:
-            raise ParameterDomainError(
-                "populations", f"need 2J+1 = {int(round(2*self.j))+1} entries, got {len(pops)}"
-            )
-        if pops.min() < -1e-12:
-            raise ParameterDomainError("populations", f"negative entry {pops.min():.3e}")
-        total = pops.sum()
-        if abs(total - 1.0) > 1e-10:
-            raise ParameterDomainError("populations", f"sum {total!r} is not 1 within 1e-10")
-
-    @property
-    def n_atoms(self) -> int:
-        return int(round(2 * self.j))
-
-    @property
-    def m_values(self) -> np.ndarray:
-        return self.j - np.arange(len(self.populations))
-
-    def mean_m(self) -> float:
-        return float(self.m_values @ self.populations)
-
-
 def cascade_rates(n_atoms: int) -> np.ndarray:
     """g_M = (J+M)(J-M+1) for M = J..-J; the bottom rung has rate zero."""
     i = np.arange(n_atoms + 1, dtype=float)
     return (n_atoms - i) * (i + 1.0)
-
-
-def fully_excited(n_atoms: int) -> LadderState:
-    if n_atoms < 2 or n_atoms > N_ORACLE_CAP:
-        raise ParameterDomainError("n_atoms", f"oracle supports 2..{N_ORACLE_CAP}, got {n_atoms}")
-    pops = np.zeros(n_atoms + 1)
-    pops[0] = 1.0
-    return LadderState(j=n_atoms / 2.0, populations=pops, t=0.0)
-
-
-def ladder_intensity(s: LadderState, gamma_eff: float, omega_ratio: float = 1.0) -> float:
-    """Scaled intensity I/(gamma*omega0) = omega_ratio * gamma_eff * sum(g_M P_M).
-
-    omega_ratio is the emitted quantum's energy over omega0, i.e. 1+alpha.
-    """
-    rates = cascade_rates(s.n_atoms)
-    return float(omega_ratio * gamma_eff * (rates @ s.populations))
 
 
 @dataclass(frozen=True)
@@ -98,9 +48,6 @@ class LadderRun:
     populations: np.ndarray   # shape (len(t), N+1)
     mean_m: np.ndarray
     intensity: np.ndarray     # scaled by gamma*omega0
-
-    def final_state(self, j: float) -> LadderState:
-        return LadderState(j=j, populations=self.populations[-1], t=float(self.t[-1]))
 
 
 def evolve_ladder(
@@ -118,7 +65,8 @@ def evolve_ladder(
     also comfortably inside the RK4 accuracy range; all m are applied at
     once as the interval propagator R^m.
     """
-    state = fully_excited(n_atoms)
+    if n_atoms < 2 or n_atoms > N_ORACLE_CAP:
+        raise ParameterDomainError("n_atoms", f"oracle supports 2..{N_ORACLE_CAP}, got {n_atoms}")
     for name, value in (("gamma_eff", gamma_eff), ("omega_ratio", omega_ratio)):
         if not (math.isfinite(value) and value > 0):
             raise ParameterDomainError(name, f"must be finite and positive, got {value!r}")
@@ -152,14 +100,15 @@ def evolve_ladder(
     propagator = np.linalg.matrix_power(r, m)
 
     t_out = np.linspace(0.0, t_end, n_out)
-    pops = np.empty((n_out, n_atoms + 1))
-    pops[0] = state.populations
+    pops = np.zeros((n_out, n_atoms + 1))
+    pops[0, 0] = 1.0  # fully excited: all population on M = J
     for i in range(1, n_out):
         new = propagator @ pops[i - 1]
         total = new.sum()
         if abs(total - 1.0) > 1e-10:
             raise StepSizeError(f"population drift {total - 1.0:.3e} exceeds 1e-10")
         pops[i] = new / total
-    mean_m = pops @ state.m_values
+    m_values = n_atoms / 2.0 - np.arange(n_atoms + 1)
+    mean_m = pops @ m_values
     intensity = omega_ratio * gamma_eff * (pops @ rates)
     return LadderRun(t=t_out, populations=pops, mean_m=mean_m, intensity=intensity)

@@ -126,14 +126,11 @@ def _pulse_fwhm(t, y, peak_idx, left_bound, right_bound):
     return tr - tl
 
 
-def find_superpulses(
-    records: tuple,
-    prominence_fraction: float = PROMINENCE_FRACTION,
-) -> list[Superpulse]:
+def find_superpulses(records: tuple) -> list[Superpulse]:
     """Detect individual pulses in a uniformly gridded emission record.
 
     Local maxima are kept when their prominence is at least
-    prominence_fraction of the global maximum.  Raises EmptyAnalysisError
+    PROMINENCE_FRACTION of the global maximum.  Raises EmptyAnalysisError
     for an all-zero signal.
     """
     t, y = _as_arrays(records)
@@ -149,7 +146,7 @@ def find_superpulses(
         prom = np.array([gmax - y.min()])
     else:
         prom = _prominences(y, idx)
-    keep = prom >= prominence_fraction * gmax
+    keep = prom >= PROMINENCE_FRACTION * gmax
     idx = idx[keep]
     if len(idx) == 0:
         idx = np.array([int(np.argmax(y))])

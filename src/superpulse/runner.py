@@ -27,7 +27,7 @@ from .bloch import (
 from .errors import ConfigError, EmptyAnalysisError, ParameterDomainError
 from .ladder import LadderRun
 from .observables import emission_arrays
-from .params import DerivedParams, Regime, SampleParams, derive_params, is_finite
+from .params import DerivedParams, Regime, SampleParams, derive_params
 from .pulses import (
     NO_EMISSION,
     PROMINENCE_FRACTION,
@@ -57,23 +57,15 @@ MEASUREMENT_DEFINITIONS = {
 }
 
 
-@dataclass(frozen=True)
-class Preset:
-    n_atoms: int
-    omega0: float
-    g: float
-    regime: Regime
-
-
-PRESETS: dict[str, Preset] = {
-    "fig1": Preset(10_000, 1e6, 1e2, Regime.STRONG),
-    "fig2": Preset(10_000, 1e5, 1e2, Regime.STRONG),
-    "fig3": Preset(10_000, 1e6, 1e3, Regime.STRONG),
-    "fig4": Preset(1_000_000, 1e6, 1e2, Regime.STRONG),
-    "fig5": Preset(10_000_000, 1e6, 1e2, Regime.STRONG),
-    "fig6": Preset(10_000, 1e6, 0.0, Regime.STRONG),
-    "fig7": Preset(10_000, 1e6, 0.0, Regime.DICKE_LIMIT),
-    "fig8": Preset(10_000, 1e3, 0.0, Regime.STRONG),
+PRESETS: dict[str, SampleParams] = {
+    "fig1": SampleParams(10_000, 1e6, 1e2, regime=Regime.STRONG),
+    "fig2": SampleParams(10_000, 1e5, 1e2, regime=Regime.STRONG),
+    "fig3": SampleParams(10_000, 1e6, 1e3, regime=Regime.STRONG),
+    "fig4": SampleParams(1_000_000, 1e6, 1e2, regime=Regime.STRONG),
+    "fig5": SampleParams(10_000_000, 1e6, 1e2, regime=Regime.STRONG),
+    "fig6": SampleParams(10_000, 1e6, 0.0, regime=Regime.STRONG),
+    "fig7": SampleParams(10_000, 1e6, 0.0, regime=Regime.DICKE_LIMIT),
+    "fig8": SampleParams(10_000, 1e3, 0.0, regime=Regime.STRONG),
 }
 
 
@@ -207,13 +199,9 @@ def parse_config(doc: dict, base_dir: Path = Path(".")) -> list[RunConfig]:
         if not isinstance(cdoc, dict):
             raise ConfigError("'integration' must be an object")
         _require_keys(cdoc, {"rtol", "atol", "max_samples", "max_step"}, "integration")
-        for key in ("rtol", "atol", "max_step"):
+        for key in ("rtol", "atol", "max_samples", "max_step"):
             if key in cdoc:
                 ctrl_kwargs[key] = _number(cdoc[key], f"integration.{key}")
-        if "max_samples" in cdoc:
-            ms = _number(cdoc["max_samples"], "integration.max_samples")
-            # a count; a non-finite value is left for IntegrationControl to reject
-            ctrl_kwargs["max_samples"] = int(ms) if is_finite(ms) else ms
     integration = IntegrationControl(**ctrl_kwargs)
 
     out_dir = base_dir
@@ -346,8 +334,19 @@ def write_oracle(
     gamma_eff: float,
     omega_ratio: float,
 ) -> Path:
-    """Write an exact-cascade run's trajectory CSV and summary JSON; returns the CSV path."""
+    """Write an exact-cascade run's trajectory CSV and summary JSON; returns the CSV path.
+
+    The outputs must be no further apart than the top rung's lifetime
+    1/(N*gamma_eff): a coarser grid misses the pulse, so its peak and
+    integral would be reported wrong.
+    """
     t_end = float(run.t[-1])
+    spacing = t_end / (len(run.t) - 1)
+    if spacing * gamma_eff * n_atoms > 1.0:
+        raise ParameterDomainError(
+            "t_end", f"{t_end!r} spaces the outputs {spacing:.3g} apart, wider than the top"
+            f" rung's lifetime 1/(N*gamma_eff) = {1.0 / (n_atoms * gamma_eff):.3g}"
+        )
     peak = float(run.intensity.max())
     with np.errstate(over="ignore"):  # an overflow is reported just below
         total = float(np.trapezoid(run.intensity, run.t))
@@ -444,11 +443,7 @@ def preset_config(name: str) -> RunConfig:
     """The configuration of one figure preset."""
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    preset = PRESETS[name]
-    params = SampleParams(
-        n_atoms=preset.n_atoms, omega0=preset.omega0, g=preset.g, regime=preset.regime
-    )
-    return RunConfig(params=params, label=name)
+    return RunConfig(params=PRESETS[name], label=name)
 
 
 def run_preset(

@@ -47,8 +47,7 @@ class Pipeline:
 
 @functools.lru_cache(maxsize=None)
 def pipeline(name: str) -> Pipeline:
-    preset = PRESETS[name]
-    p = SampleParams(preset.n_atoms, preset.omega0, preset.g, regime=preset.regime)
+    p = PRESETS[name]
     d = derive_params(p)
     start = time.perf_counter()
     if p.regime.is_weak_like():

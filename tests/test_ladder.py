@@ -6,14 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superpulse import (
-    LadderState,
-    ParameterDomainError,
-    cascade_rates,
-    evolve_ladder,
-    fully_excited,
-    ladder_intensity,
-)
+from superpulse import ParameterDomainError, cascade_rates, evolve_ladder
 
 
 def test_cascade_rates_endpoints():
@@ -24,10 +17,9 @@ def test_cascade_rates_endpoints():
 
 
 def test_fully_excited_state():
-    s = fully_excited(10)
-    assert s.j == 5.0
-    assert s.populations[0] == 1.0
-    assert s.mean_m() == 5.0
+    run = evolve_ladder(10, 1.0)
+    assert run.populations[0, 0] == 1.0
+    assert run.mean_m[0] == 5.0
 
 
 def test_interval_propagator_matches_plain_rk4_steps():
@@ -44,7 +36,8 @@ def test_interval_propagator_matches_plain_rk4_steps():
         flux = gamma_eff * g * p
         return np.concatenate(([0.0], flux[:-1])) - flux
 
-    p = fully_excited(n).populations
+    p = np.zeros(n + 1)
+    p[0] = 1.0
     for i in range(1, n_out):
         for _ in range(m):
             k1 = flow(p)
@@ -97,16 +90,8 @@ def test_all_quanta_emitted():
 
 
 def test_initial_intensity_counts_top_rate():
-    s = fully_excited(10)
-    assert ladder_intensity(s, 1.0, omega_ratio=1.0) == 10.0
-    assert ladder_intensity(s, 3.0, omega_ratio=3.0) == 90.0
-
-
-def test_absorbed_state_emits_nothing():
-    pops = np.zeros(11)
-    pops[-1] = 1.0
-    s = LadderState(j=5.0, populations=pops)
-    assert ladder_intensity(s, 1.0) == 0.0
+    assert evolve_ladder(10, 1.0, omega_ratio=1.0).intensity[0] == 10.0
+    assert evolve_ladder(10, 3.0, omega_ratio=3.0).intensity[0] == 90.0
 
 
 def test_time_integrated_intensity_counts_all_quanta():
@@ -128,19 +113,10 @@ def test_exact_peak_rate_close_to_mean_field():
     assert mean_field_peak / 2 <= peak <= mean_field_peak * 2
 
 
-def test_population_validation():
-    with pytest.raises(ParameterDomainError):
-        LadderState(j=1.0, populations=np.array([0.7, 0.2]))  # wrong length
-    with pytest.raises(ParameterDomainError):
-        LadderState(j=1.0, populations=np.array([0.7, 0.4, -0.1]))  # negative
-    with pytest.raises(ParameterDomainError):
-        LadderState(j=1.0, populations=np.array([0.5, 0.2, 0.2]))  # not normalized
-
-
 def test_oracle_n_cap():
     for n in (1, 2_001, 10_001):
         with pytest.raises(ParameterDomainError, match="^n_atoms: "):
-            fully_excited(n)
+            evolve_ladder(n, 1.0)
 
 
 @given(

@@ -169,6 +169,7 @@ NON_FINITE_CASES = [
     ({"integration": {"max_step": math.nan}}, "max_step"),
     ({"integration": {"rtol": math.inf}}, "rtol"),
     ({"integration": {"max_samples": math.nan}}, "max_samples"),
+    ({"integration": {"max_samples": 5000.7}}, "max_samples"),
 ]
 
 
@@ -438,6 +439,9 @@ def test_output_files_take_the_umask_mode(tmp_path, capsys):
         # finite inputs whose scaled intensity, or only its time integral, overflows
         (["--n", "10", "--gamma-eff", "1e300", "--omega-ratio", "1e300"], "omega_ratio"),
         (["--n", "10", "--t-end", "1e300", "--omega-ratio", "1e300"], "t_end"),
+        (["--n", "10", "--omega-ratio", "5e306"], "t_end"),
+        # outputs further apart than the top rung's lifetime miss the pulse
+        (["--n", "10", "--t-end", "1e6"], "t_end"),
     ],
 )
 def test_cli_oracle_out_of_domain_numbers_exit_code(tmp_path, capsys, argv, field):
