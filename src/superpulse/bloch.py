@@ -19,7 +19,7 @@ FAST_PHASE_STEPS_PER_PERIOD = 20
 
 @dataclass(frozen=True)
 class BlochState:
-    """A point on the unit Bloch sphere at scaled time t = gamma*t.
+    """A point on the unit Bloch sphere; every run starts from one at t = 0.
 
     theta is the polar angle in [0, pi]; phi is the accumulated azimuthal
     phase and is deliberately left unwrapped.
@@ -27,7 +27,6 @@ class BlochState:
 
     theta: float
     phi: float
-    t: float = 0.0
 
     def __post_init__(self):
         if not -1e-12 <= self.theta <= math.pi + 1e-12:
@@ -35,8 +34,6 @@ class BlochState:
         object.__setattr__(self, "theta", min(max(self.theta, 0.0), math.pi))
         if not is_finite(self.phi):
             raise ParameterDomainError("phi", f"must be finite, got {self.phi!r}")
-        if self.t < 0:
-            raise ParameterDomainError("t", f"must be non-negative, got {self.t!r}")
 
 
 @dataclass(frozen=True)
@@ -73,7 +70,7 @@ class IntegratorStats:
 
 @dataclass
 class BlochTrajectory:
-    """Dense (theta, phi) samples on a uniform scaled-time grid.
+    """Dense (theta, phi) samples on a uniform scaled-time grid over [0, t[-1]].
 
     kind records which regime's observable map applies to the samples
     (set by whichever routine produced the trajectory, not by the
@@ -82,13 +79,11 @@ class BlochTrajectory:
     step_* fields as None.
     """
 
-    params: DerivedParams
     sample_params: SampleParams
     kind: Regime
     t: np.ndarray
     theta: np.ndarray
     phi: np.ndarray
-    t_end: float
     stats: IntegratorStats
     step_t: np.ndarray | None = field(default=None, repr=False)
     step_theta: np.ndarray | None = field(default=None, repr=False)
@@ -106,7 +101,7 @@ def default_initial_state(p: SampleParams, phi0: float = DEFAULT_PHI0) -> BlochS
     fixed point, so some tipping is required for any emission at all.
     """
     n = float(p.n_atoms)
-    return BlochState(theta=math.asin(2.0 / (n + 1.0 / n)), phi=phi0, t=0.0)
+    return BlochState(theta=math.asin(2.0 / (n + 1.0 / n)), phi=phi0)
 
 
 def envelope_timescale(p: SampleParams, kind: Regime) -> float:
@@ -203,7 +198,6 @@ def _integrate(
     res = rk.solve(
         make_rhs(d),
         to_state(init),
-        t_end,
         grid,
         rtol=ctrl.rtol,
         atol=ctrl.atol,
@@ -213,13 +207,11 @@ def _integrate(
     theta, phi = to_angles(res.grid_values, init)
     step_theta, step_phi = to_angles(res.step_values, init)
     traj = BlochTrajectory(
-        params=d,
         sample_params=p,
         kind=kind,
         t=grid,
         theta=theta,
         phi=phi,
-        t_end=t_end,
         stats=IntegratorStats(res.n_accepted, res.n_rejected, res.max_error_ratio),
         step_t=res.step_times,
         step_theta=step_theta,

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterDomainError, StepSizeError
+from .params import is_finite
 
 # positivity guard: a single RK4 step must satisfy dt * max rate < 0.1
 MAX_STEP_RATE_PRODUCT = 0.1
@@ -65,6 +66,9 @@ def evolve_ladder(
     also comfortably inside the RK4 accuracy range; all m are applied at
     once as the interval propagator R^m.
     """
+    if not (is_finite(n_atoms) and float(n_atoms).is_integer()):
+        raise ParameterDomainError("n_atoms", f"must be an integer, got {n_atoms!r}")
+    n_atoms = int(n_atoms)
     if n_atoms < 2 or n_atoms > N_ORACLE_CAP:
         raise ParameterDomainError("n_atoms", f"oracle supports 2..{N_ORACLE_CAP}, got {n_atoms}")
     for name, value in (("gamma_eff", gamma_eff), ("omega_ratio", omega_ratio)):

@@ -11,6 +11,7 @@ import numpy as np
 
 from . import weak
 from .bloch import BlochTrajectory
+from .params import derive_params
 
 
 def emission_arrays(traj: BlochTrajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -25,7 +26,7 @@ def emission_arrays(traj: BlochTrajectory) -> tuple[np.ndarray, np.ndarray, np.n
     if traj.kind.is_weak_like():
         p = traj.sample_params
         return traj.t, weak.weak_energy(p, traj.t), weak.weak_intensity(p, traj.t)
-    d = traj.params
+    d = derive_params(traj.sample_params)
     n = float(d.n_atoms)
     enh = 1.0 + d.alpha
     energy = enh / 2.0 * np.cos(traj.theta)

@@ -136,8 +136,7 @@ def classify_regime(p: SampleParams) -> Regime:
     result (e.g. to run the weak-coupling equations at strong-regime
     parameters for comparison).
     """
-    ratio = p.n_atoms * p.gamma / p.omega0
-    return Regime.STRONG if ratio >= STRONG_COUPLING_THRESHOLD else Regime.WEAK
+    return Regime.STRONG if p.coupling_strength_ratio >= STRONG_COUPLING_THRESHOLD else Regime.WEAK
 
 
 def derive_params(p: SampleParams) -> DerivedParams:

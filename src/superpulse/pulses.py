@@ -51,16 +51,16 @@ class PulseMetrics:
     ratios: dict[str, float]        # measured/predicted per metric
 
 
-def _as_arrays(records: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Time and intensity columns of a (t, ..., intensity) array tuple."""
-    t = np.asarray(records[0], dtype=float)
-    y = np.asarray(records[-1], dtype=float)
+def _as_arrays(t, y) -> tuple[np.ndarray, np.ndarray]:
+    """t and y as float arrays, checked to be a non-empty uniformly gridded record."""
+    t = np.asarray(t, dtype=float)
+    y = np.asarray(y, dtype=float)
     if t.size == 0:
         raise EmptyAnalysisError("no emission records to analyse")
     if t.size >= 3:
         dt = np.diff(t)
         if dt.min() <= 0 or (dt.max() - dt.min()) > 1e-6 * dt.mean():
-            raise ParameterDomainError("records", "must be on a uniform time grid")
+            raise ParameterDomainError("t", "must be a uniform time grid")
     return t, y
 
 
@@ -126,29 +126,24 @@ def _pulse_fwhm(t, y, peak_idx, left_bound, right_bound):
     return tr - tl
 
 
-def find_superpulses(records: tuple) -> list[Superpulse]:
-    """Detect individual pulses in a uniformly gridded emission record.
+def find_superpulses(t, y) -> list[Superpulse]:
+    """Detect individual pulses in the intensity y on the uniform time grid t.
 
     Local maxima are kept when their prominence is at least
     PROMINENCE_FRACTION of the global maximum.  Raises EmptyAnalysisError
     for an all-zero signal.
     """
-    t, y = _as_arrays(records)
+    t, y = _as_arrays(t, y)
     gmax = y.max()
     if gmax <= 0.0:
         raise EmptyAnalysisError(NO_EMISSION)
 
     idx = _local_maxima(y)
+    if len(idx):
+        idx = idx[_prominences(y, idx) >= PROMINENCE_FRACTION * gmax]
     if len(idx) == 0:
-        # monotone or boundary-peaked signal: treat the global maximum as
-        # the single pulse
-        idx = np.array([int(np.argmax(y))])
-        prom = np.array([gmax - y.min()])
-    else:
-        prom = _prominences(y, idx)
-    keep = prom >= PROMINENCE_FRACTION * gmax
-    idx = idx[keep]
-    if len(idx) == 0:
+        # monotone, boundary-peaked or ripple-only signal: the global
+        # maximum is the single pulse
         idx = np.array([int(np.argmax(y))])
 
     pulses = []
@@ -165,33 +160,26 @@ def find_superpulses(records: tuple) -> list[Superpulse]:
     return pulses
 
 
-def envelope(
-    records: tuple,
-    pulses: list[Superpulse] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Upper envelope as (times, values) nodes.
+def envelope(t, y, pulses: list[Superpulse]) -> tuple[np.ndarray, np.ndarray]:
+    """Upper envelope of the record (t, y) as (times, values) nodes.
 
-    Piecewise-linear through the superpulse peaks; a single-pulse signal is
-    its own envelope, so the raw record is returned in that case.
+    Piecewise-linear through the superpulses find_superpulses(t, y) found;
+    a single-pulse signal is its own envelope, so the raw record is
+    returned in that case.
     """
-    t, y = _as_arrays(records)
-    if pulses is None:
-        pulses = find_superpulses(records)
     if len(pulses) <= 1:
-        return t, y
+        return np.asarray(t, dtype=float), np.asarray(y, dtype=float)
     return (
         np.array([p.t_peak for p in pulses]),
         np.array([p.height for p in pulses]),
     )
 
 
-def compute_metrics(
-    records: tuple,
-    d: DerivedParams,
-) -> PulseMetrics:
-    """Measure the pulse-train statistics and compare with the predictions."""
-    pulses = find_superpulses(records)
-    et, ev = envelope(records, pulses)
+def compute_metrics(t, intensity, d: DerivedParams) -> PulseMetrics:
+    """Measure the pulse-train statistics of the record (t, intensity) and
+    compare them with the predictions."""
+    pulses = find_superpulses(t, intensity)
+    et, ev = envelope(t, intensity, pulses)
     env_max = float(ev.max())
     imax = int(np.argmax(ev))
     delay = float(et[imax])

@@ -79,23 +79,23 @@ class RKResult:
 def solve(
     rhs: Callable[..., tuple],
     y0: Sequence[float],
-    t_end: float,
     grid: np.ndarray,
     rtol: float,
     atol: float,
     max_step: float,
     max_steps: float = math.inf,
 ) -> RKResult:
-    """Integrate dy/dt = rhs(t, *y) from t=0 to t_end over the given grid.
+    """Integrate dy/dt = rhs(t, *y) from t=0 to t_end = grid[-1] over the given grid.
 
-    grid must be sorted, start at 0 and end at t_end.  rhs receives the
-    time followed by the unpacked state components and returns the
-    derivative tuple.  The result also carries every accepted step, led by
-    the initial point.  A run that needs more than max_steps accepted steps
-    raises IntegrationFailure.
+    grid must be sorted and start at 0.  rhs receives the time followed by
+    the unpacked state components and returns the derivative tuple.  The
+    result also carries every accepted step, led by the initial point.  A
+    run that needs more than max_steps accepted steps raises
+    IntegrationFailure.
     """
     ndim = len(y0)
     step = _step_kernel(ndim)
+    t_end = float(grid[-1])
     y = tuple(float(v) for v in y0)
     t = 0.0
     f = rhs(t, *y)

@@ -79,15 +79,12 @@ class RunConfig:
     out_dir: Path = Path(".")
     formats: tuple[str, ...] = FORMATS
 
-    def resolved_t_end(self) -> float:
-        if self.t_end is not None:
-            return self.t_end
-        return default_t_end(self.params, self.params.regime)
-
-    def resolved_init(self) -> BlochState:
-        if self.init is not None:
-            return self.init
-        return default_initial_state(self.params)
+    def __post_init__(self):
+        # an unset init or t_end takes the default for params, once
+        if self.init is None:
+            self.init = default_initial_state(self.params)
+        if self.t_end is None:
+            self.t_end = default_t_end(self.params, self.params.regime)
 
 
 @dataclass(frozen=True)
@@ -110,7 +107,7 @@ def _apply_overrides(
     theta0: float | None = None,
     phi0: float | None = None,
 ) -> RunConfig:
-    """cfg with the given fields replaced; an unset angle keeps its resolved value.
+    """cfg with the given fields replaced; an unset angle keeps its value.
 
     A weak-like run evaluates the closed form, which starts at the default
     angle and takes only phi0, so a theta0 there is rejected, not ignored.
@@ -127,12 +124,9 @@ def _apply_overrides(
         changes["integration"] = replace(cfg.integration, rtol=rtol)
     if t_end is not None:
         changes["t_end"] = t_end
-    if theta0 is not None or phi0 is not None:
-        base = cfg.resolved_init()
-        changes["init"] = BlochState(
-            theta=base.theta if theta0 is None else theta0,
-            phi=base.phi if phi0 is None else phi0,
-        )
+    angles = {k: v for k, v in (("theta", theta0), ("phi", phi0)) if v is not None}
+    if angles:
+        changes["init"] = replace(cfg.init, **angles)
     return replace(cfg, **changes)
 
 
@@ -148,6 +142,18 @@ def _require_keys(obj: dict, allowed: set[str], where: str):
         raise ConfigError(
             f"unknown key(s) {sorted(unknown)} in {where}; allowed: {sorted(allowed)}"
         )
+
+
+def _section(doc: dict, name: str, allowed: set[str], required=()) -> dict:
+    """doc[name] as an object with only allowed keys and every required one; {} if absent."""
+    sec = doc.get(name, {})
+    if not isinstance(sec, dict):
+        raise ConfigError(f"'{name}' must be an object")
+    _require_keys(sec, allowed, name)
+    for key in required:
+        if key not in sec:
+            raise ConfigError(f"missing required key '{name}.{key}'")
+    return sec
 
 
 def _number(v, name: str):
@@ -167,13 +173,7 @@ def parse_config(doc: dict, base_dir: Path = Path(".")) -> list[RunConfig]:
     )
     if "params" not in doc:
         raise ConfigError("missing required key 'params'")
-    pd = doc["params"]
-    if not isinstance(pd, dict):
-        raise ConfigError("'params' must be an object")
-    _require_keys(pd, {"n_atoms", "omega0", "g", "gamma"}, "params")
-    for key in ("n_atoms", "omega0"):
-        if key not in pd:
-            raise ConfigError(f"missing required key 'params.{key}'")
+    pd = _section(doc, "params", {"n_atoms", "omega0", "g", "gamma"}, ("n_atoms", "omega0"))
     pd = {key: _number(v, f"params.{key}") for key, v in pd.items()}
 
     regime = None
@@ -185,59 +185,42 @@ def parse_config(doc: dict, base_dir: Path = Path(".")) -> list[RunConfig]:
             )
         regime = _REGIME_NAMES[name]
 
-    init = {}
-    if "init" in doc:
-        idoc = doc["init"]
-        if not isinstance(idoc, dict):
-            raise ConfigError("'init' must be an object")
-        _require_keys(idoc, {"theta0", "phi0"}, "init")
-        init = {key: _number(v, f"init.{key}") for key, v in idoc.items()}
+    idoc = _section(doc, "init", {"theta0", "phi0"})
+    init = {key: _number(v, f"init.{key}") for key, v in idoc.items()}
 
-    ctrl_kwargs = {}
-    if "integration" in doc:
-        cdoc = doc["integration"]
-        if not isinstance(cdoc, dict):
-            raise ConfigError("'integration' must be an object")
-        _require_keys(cdoc, {"rtol", "atol", "max_samples", "max_step"}, "integration")
-        for key in ("rtol", "atol", "max_samples", "max_step"):
-            if key in cdoc:
-                ctrl_kwargs[key] = _number(cdoc[key], f"integration.{key}")
-    integration = IntegrationControl(**ctrl_kwargs)
+    controls = ("rtol", "atol", "max_samples", "max_step")
+    cdoc = _section(doc, "integration", set(controls))
+    integration = IntegrationControl(
+        **{key: _number(cdoc[key], f"integration.{key}") for key in controls if key in cdoc}
+    )
 
     out_dir = base_dir
     formats = FORMATS
-    if "outputs" in doc:
-        odoc = doc["outputs"]
-        if not isinstance(odoc, dict):
-            raise ConfigError("'outputs' must be an object")
-        _require_keys(odoc, {"directory", "formats"}, "outputs")
-        if "directory" in odoc:
-            if not isinstance(odoc["directory"], str):
-                raise ConfigError("outputs.directory must be a string")
-            out_dir = base_dir / odoc["directory"]
-        if "formats" in odoc:
-            fmts = odoc["formats"]
-            if not isinstance(fmts, list) or not fmts or any(f not in FORMATS for f in fmts):
-                raise ConfigError(
-                    f"outputs.formats must be a non-empty list drawn from {list(FORMATS)}"
-                )
-            formats = tuple(f for f in FORMATS if f in fmts)
+    odoc = _section(doc, "outputs", {"directory", "formats"})
+    if "directory" in odoc:
+        if not isinstance(odoc["directory"], str):
+            raise ConfigError("outputs.directory must be a string")
+        out_dir = base_dir / odoc["directory"]
+    if "formats" in odoc:
+        fmts = odoc["formats"]
+        if not isinstance(fmts, list) or not fmts or any(f not in FORMATS for f in fmts):
+            raise ConfigError(
+                f"outputs.formats must be a non-empty list drawn from {list(FORMATS)}"
+            )
+        formats = tuple(f for f in FORMATS if f in fmts)
 
     t_end = _number(doc["t_end"], "config.t_end") if "t_end" in doc else None
     base_label = doc.get("label", "run")
     if not isinstance(base_label, str):
         raise ConfigError("'label' must be a string")
+    # the label prefixes each output file name inside the output directory
+    if "/" in base_label or "\0" in base_label:
+        raise ConfigError(f"must not contain '/' or NUL, got {base_label!r}", field="label")
 
     sp = None
     points = [pd]
     if "sweep" in doc:
-        sdoc = doc["sweep"]
-        if not isinstance(sdoc, dict):
-            raise ConfigError("'sweep' must be an object")
-        _require_keys(sdoc, {"param", "values"}, "sweep")
-        for key in ("param", "values"):
-            if key not in sdoc:
-                raise ConfigError(f"missing required key 'sweep.{key}'")
+        sdoc = _section(doc, "sweep", {"param", "values"}, ("param", "values"))
         sp = sdoc["param"]
         if sp not in ("n_atoms", "omega0", "g"):
             raise ConfigError(f"sweep.param must be one of n_atoms/omega0/g, got {sp!r}")
@@ -372,34 +355,29 @@ def write_oracle(
     _write_json(out_dir / f"oracle_n{n_atoms}_summary.json", summary)
     return csv_path
 
-def _config_doc(cfg: RunConfig, t_end: float, init: BlochState) -> dict:
-    p = cfg.params
-    return {
-        "label": cfg.label,
-        "params": {
-            "n_atoms": p.n_atoms,
-            "omega0": p.omega0,
-            "g": p.g,
-            "gamma": p.gamma,
-            "regime": p.regime.value,
-        },
-        "init": {"theta0": init.theta, "phi0": init.phi},
-        "t_end": t_end,
-        "integration": asdict(cfg.integration),
-    }
-
-
 def _metrics_doc(
     cfg: RunConfig,
     d: DerivedParams,
     metrics: PulseMetrics,
     traj: BlochTrajectory,
-    init: BlochState,
 ) -> dict:
+    p = cfg.params
     mdoc = asdict(metrics)
     mdoc.pop("predictions")
     return {
-        "config": _config_doc(cfg, traj.t_end, init),
+        "config": {
+            "label": cfg.label,
+            "params": {
+                "n_atoms": p.n_atoms,
+                "omega0": p.omega0,
+                "g": p.g,
+                "gamma": p.gamma,
+                "regime": p.regime.value,
+            },
+            "init": {"theta0": cfg.init.theta, "phi0": cfg.init.phi},
+            "t_end": cfg.t_end,
+            "integration": asdict(cfg.integration),
+        },
         "derived_params": asdict(d),
         "pulse_metrics": mdoc,
         "integrator_stats": asdict(traj.stats),
@@ -415,19 +393,17 @@ def execute(cfg: RunConfig) -> RunResult:
     """Run one resolved configuration and write the files its formats name."""
     p = cfg.params
     d = derive_params(p)
-    t_end = cfg.resolved_t_end()
-    init = cfg.resolved_init()
     # both poles are fixed points, but sin(math.pi) is 1.2e-16, not 0, so
     # the pulse analysis would otherwise measure roundoff
-    if init.theta in (0.0, math.pi):
+    if cfg.init.theta in (0.0, math.pi):
         raise EmptyAnalysisError(NO_EMISSION)
     if p.regime.is_weak_like():
-        traj = sample_weak_solution(p, t_end=t_end, ctrl=cfg.integration, phi0=init.phi)
+        traj = sample_weak_solution(p, t_end=cfg.t_end, ctrl=cfg.integration, phi0=cfg.init.phi)
     else:
-        traj = integrate_strong(p, init=init, t_end=t_end, ctrl=cfg.integration)
+        traj = integrate_strong(p, init=cfg.init, t_end=cfg.t_end, ctrl=cfg.integration)
 
     t, energy, intensity = emission_arrays(traj)
-    metrics = compute_metrics((t, energy, intensity), d)
+    metrics = compute_metrics(t, intensity, d)
 
     traj_path = metrics_path = None
     if "csv" in cfg.formats:
@@ -435,7 +411,7 @@ def execute(cfg: RunConfig) -> RunResult:
         write_trajectory_csv(traj_path, t, traj.theta, traj.phi, energy, intensity)
     if "json" in cfg.formats:
         metrics_path = cfg.out_dir / f"{cfg.label}_metrics.json"
-        _write_json(metrics_path, _metrics_doc(cfg, d, metrics, traj, init))
+        _write_json(metrics_path, _metrics_doc(cfg, d, metrics, traj))
     return RunResult(cfg.label, traj_path, metrics_path, metrics)
 
 

@@ -88,13 +88,11 @@ def sample_weak_solution(
     grid = output_grid(t_end, d, ctrl)
     theta, phi = weak_angles(p, grid, phi0)
     return BlochTrajectory(
-        params=d,
         sample_params=p,
         kind=Regime.WEAK,
         t=grid,
         theta=theta,
         phi=phi,
-        t_end=t_end,
         stats=IntegratorStats(0, 0, 0.0),
     )
 

@@ -55,7 +55,7 @@ def pipeline(name: str) -> Pipeline:
     else:
         traj = integrate_strong(p)
     t, energy, intensity = emission_arrays(traj)
-    metrics = compute_metrics((t, energy, intensity), d)
+    metrics = compute_metrics(t, intensity, d)
     elapsed = time.perf_counter() - start
     return Pipeline(name, p, elapsed, traj, t, energy, intensity, metrics)
 

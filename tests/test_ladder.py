@@ -114,9 +114,15 @@ def test_exact_peak_rate_close_to_mean_field():
 
 
 def test_oracle_n_cap():
-    for n in (1, 2_001, 10_001):
+    for n in (1, 2_001, 10_001, 10.5, math.nan):
         with pytest.raises(ParameterDomainError, match="^n_atoms: "):
             evolve_ladder(n, 1.0)
+
+
+def test_oracle_integral_float_n_runs_like_the_int():
+    a, b = evolve_ladder(10.0, 1.0, n_out=11), evolve_ladder(10, 1.0, n_out=11)
+    for name in ("t", "populations", "mean_m", "intensity"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 @given(

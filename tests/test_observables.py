@@ -29,13 +29,11 @@ def strong_trajectory(theta, phi, p=P_DENSE) -> BlochTrajectory:
     """A strong-regime trajectory holding the given angle samples."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     return BlochTrajectory(
-        params=derive_params(p),
         sample_params=p,
         kind=Regime.STRONG,
         t=np.zeros(len(theta)),
         theta=theta,
         phi=np.broadcast_to(np.asarray(phi, dtype=float), theta.shape),
-        t_end=0.0,
         stats=IntegratorStats(0, 0, 0.0),
     )
 
@@ -101,7 +99,7 @@ def test_weak_trajectory_emission_single_sech_pulse():
     assert abs(t[ipk] - t0) <= dt
     assert intensity[ipk] == pytest.approx(2.5e7, rel=1e-6)
     assert np.all(intensity >= 0.0)
-    pulses = find_superpulses((t, intensity))
+    pulses = find_superpulses(t, intensity)
     assert len(pulses) == 1
 
 
@@ -126,7 +124,7 @@ def test_strong_peaks_sit_where_the_phase_channel_opens():
     d = derive_params(p)
     traj = integrate_strong(p)
     t, energy, intensity = emission_arrays(traj)
-    pulses = find_superpulses((t, intensity))
+    pulses = find_superpulses(t, intensity)
     big = [q for q in pulses if q.height >= 0.1 * max(q.height for q in pulses)]
     phi_at_peaks = np.interp([q.t_peak for q in big], t, traj.phi)
     assert np.min(np.abs(np.sin(phi_at_peaks))) > 0.99

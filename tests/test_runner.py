@@ -71,7 +71,7 @@ def test_metrics_roundtrip_from_csv(tmp_path):
     (result,) = run_config(path, out_dir=tmp_path)
     t, theta, phi, energy, intensity = read_trajectory_csv(result.trajectory_path)
     d = derive_params(load_config(path)[0].params)
-    again = compute_metrics((t, energy, intensity), d)
+    again = compute_metrics(t, intensity, d)
     saved = json.loads(result.metrics_path.read_text())["pulse_metrics"]
     assert again.peak_intensity_scaled == saved["peak_intensity_scaled"]
     assert again.delay_time == saved["delay_time"]
@@ -155,6 +155,25 @@ def test_bad_configs_rejected(tmp_path, doc):
         load_config(write_config(tmp_path, doc))
 
 
+# a section that is not an object, or a sweep without one of its required
+# keys, and the exact message each is rejected with
+SECTION_CASES = [
+    ({"params": [500, 1e4]}, "'params' must be an object"),
+    ({"init": 0.5}, "'init' must be an object"),
+    ({"integration": None}, "'integration' must be an object"),
+    ({"outputs": "out"}, "'outputs' must be an object"),
+    ({"sweep": [1e4, 2e4]}, "'sweep' must be an object"),
+    ({"sweep": {"param": "g"}}, "missing required key 'sweep.values'"),
+]
+
+
+@pytest.mark.parametrize("changes, message", SECTION_CASES)
+def test_config_section_messages(changes, message):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(dict(FAST_CONFIG, **changes))
+    assert str(exc.value) == message
+
+
 # values that parse as JSON numbers but lie outside their domain, with the
 # field each must be rejected under
 NON_FINITE_CASES = [
@@ -186,9 +205,9 @@ def fast_config_with(changes: dict) -> dict:
 def test_init_phi0_alone_is_applied(tmp_path):
     doc = dict(FAST_CONFIG, init={"phi0": 0.5})
     (cfg,) = load_config(write_config(tmp_path, doc))
-    assert cfg.resolved_init().phi == 0.5
+    assert cfg.init.phi == 0.5
     (plain,) = load_config(write_config(tmp_path, FAST_CONFIG, "plain.json"))
-    assert cfg.resolved_init().theta == plain.resolved_init().theta
+    assert cfg.init.theta == plain.init.theta
 
 
 @pytest.mark.parametrize("formats", [["json"], ["csv"]])
@@ -295,7 +314,7 @@ def test_preset_overrides_recorded(tmp_path):
     cfg = json.loads(result.metrics_path.read_text())["config"]
     assert cfg["t_end"] == 1e-3
     # the angle the closed form actually starts from
-    assert cfg["init"]["theta0"] == runner.preset_config("fig7").resolved_init().theta
+    assert cfg["init"]["theta0"] == runner.preset_config("fig7").init.theta
     assert cfg["init"]["phi0"] == 0.5
 
 
@@ -381,6 +400,16 @@ def test_cli_sweep_label_collision_exit_code(tmp_path, capsys):
     assert err.startswith("validation error: sweep.values")
     assert "1000000 " in err and "1000000.0001" in err and "'fast_g1e+06'" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("label", ["a\0b", "<tmp>/abs/x"], ids=["nul", "absolute-path"])
+def test_cli_label_must_be_a_file_name_prefix(tmp_path, capsys, label):
+    # the label names files inside the output directory, never a path
+    label = label.replace("<tmp>", str(tmp_path))
+    path = write_config(tmp_path, dict(FAST_CONFIG, label=label))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("validation error: label: ")
+    assert [p.name for p in tmp_path.rglob("*")] == ["config.json"]
 
 
 def test_cli_dense_zero_window_runs(tmp_path, capsys):
