@@ -32,8 +32,9 @@ class BlochState:
         if not -1e-12 <= self.theta <= math.pi + 1e-12:
             raise ParameterDomainError("theta", f"must lie in [0, pi], got {self.theta!r}")
         object.__setattr__(self, "theta", min(max(self.theta, 0.0), math.pi))
-        if not is_finite(self.phi):
-            raise ParameterDomainError("phi", f"must be finite, got {self.phi!r}")
+        # the strong equations take sin(2 phi), so 2 phi must be finite too
+        if not (is_finite(self.phi) and is_finite(2.0 * self.phi)):
+            raise ParameterDomainError("phi", f"must be finite, as must 2*phi; got {self.phi!r}")
 
 
 @dataclass(frozen=True)
@@ -123,6 +124,10 @@ def envelope_timescale(p: SampleParams, kind: Regime) -> float:
     if lock < 1.0:
         return 2.0 / half_rate
     sin2_locked = (1.0 - math.sqrt(1.0 - (1.0 / lock) ** 2)) / 2.0
+    if sin2_locked == 0.0:
+        # past a lock of about 1e8 the difference cancels to 0; same value, rearranged
+        x2 = (1.0 / lock) ** 2
+        sin2_locked = x2 / (2.0 * (1.0 + math.sqrt(1.0 - x2)))
     return 1.0 / (half_rate * sin2_locked)
 
 

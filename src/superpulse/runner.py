@@ -1,7 +1,8 @@
 """Configuration ingestion, figure presets, batch execution and serialization.
 
 Trajectories go to CSV (one row per grid point, 17 significant digits so
-values round-trip exactly); metrics go to a JSON document embedding the
+values round-trip exactly, formatted a block of rows at a time by
+``_g17.format_rows``); metrics go to a JSON document embedding the
 derived parameters, the measured pulse statistics, integrator stats and
 the fully resolved configuration.  The exact-cascade oracle writes its
 trajectory and summary through the same writers.  Every file is written
@@ -24,6 +25,7 @@ from .bloch import (
     default_initial_state,
     default_t_end,
 )
+from ._g17 import format_rows
 from .errors import ConfigError, EmptyAnalysisError, ParameterDomainError
 from .ladder import LadderRun
 from .observables import emission_arrays
@@ -44,7 +46,9 @@ ORACLE_HEADER = "gamma_t,mean_m,intensity_over_gamma_omega0"
 # output files a run can write: the trajectory CSV and the metrics JSON
 FORMATS = ("csv", "json")
 
-_CSV_BLOCK_ROWS = 1000
+# rows per formatted CSV block: the formatter's temporaries take about
+# 0.4 kB per value, and a small block keeps them off the peak memory
+_CSV_BLOCK_ROWS = 500
 
 MEASUREMENT_DEFINITIONS = {
     "envelope": "piecewise-linear interpolation through superpulse peaks",
@@ -271,14 +275,16 @@ def load_config(path: str | Path) -> list[RunConfig]:
 # ---------------------------------------------------------------------------
 # serialization
 
-def _atomic_write(path: Path, text: str):
+def _atomic_write(path: Path, chunks):
+    """Write the byte chunks to path, or nothing if writing or a chunk fails."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     # mode 0o666 under the umask, as open() would give the file itself
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -287,20 +293,22 @@ def _atomic_write(path: Path, text: str):
 
 
 def _write_json(path: Path, doc: dict):
-    _atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, [(json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()])
 
 
 def write_trajectory_csv(path: Path, *columns, header: str = TRAJECTORY_HEADER):
-    """One header line, then one row per sample at 17 significant digits."""
-    row = ",".join(["%.17g"] * len(columns))
-    values = np.column_stack(columns)
-    # one % per block of rows: far fewer format calls and row strings alive
-    blocks = [header]
-    for start in range(0, len(values), _CSV_BLOCK_ROWS):
-        block = values[start:start + _CSV_BLOCK_ROWS]
-        blocks.append("\n".join([row] * len(block)) % tuple(block.ravel().tolist()))
-    blocks.append("")
-    _atomic_write(path, "\n".join(blocks))
+    """One header line, then one row per sample, each value as ``'%.17g' % v``."""
+    if len({len(c) for c in columns}) > 1:
+        raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
+
+    def chunks():
+        yield (header + "\n").encode()
+        # the whole run is never stacked into one array or held as text
+        for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            stop = start + _CSV_BLOCK_ROWS
+            yield format_rows(np.column_stack([c[start:stop] for c in columns]))
+
+    _atomic_write(path, chunks())
 
 
 def read_trajectory_csv(path: str | Path):

@@ -16,6 +16,7 @@ from superpulse import (
     Regime,
     SampleBudgetError,
     compute_metrics,
+    default_t_end,
     derive_params,
     runner,
 )
@@ -392,6 +393,17 @@ def test_cli_out_of_domain_overrides_exit_code(tmp_path, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
+def test_cli_phi0_whose_double_overflows_exit_code(tmp_path, capsys):
+    # finite, but 2*phi0 is inf and the strong equations take sin(2 phi)
+    path = write_config(tmp_path, dict(FAST_CONFIG, regime="strong"))
+    argv = ["run", "--config", str(path), "--out", str(tmp_path / "out")]
+    assert main(argv + ["--phi0=8.98846567431158e+307"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: phi")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_sweep_label_collision_exit_code(tmp_path, capsys):
     doc = dict(FAST_CONFIG, sweep={"param": "g", "values": [1000000, 1000000.0001]})
     path = write_config(tmp_path, doc)
@@ -453,6 +465,24 @@ def test_output_files_take_the_umask_mode(tmp_path, capsys):
         assert stat.S_IMODE((out / name).stat().st_mode) == 0o644, name
 
 
+def test_failed_csv_block_leaves_no_file(tmp_path, monkeypatch):
+    blocks = []
+
+    def fail_second(block):
+        blocks.append(len(block))
+        if len(blocks) == 2:
+            raise RuntimeError("formatter failed")
+        return b""
+
+    monkeypatch.setattr(runner, "format_rows", fail_second)
+    n = 2 * runner._CSV_BLOCK_ROWS + 1
+    path = tmp_path / "traj.csv"
+    with pytest.raises(RuntimeError, match="formatter failed"):
+        runner.write_trajectory_csv(path, np.arange(n, dtype=float), np.ones(n))
+    assert blocks == [runner._CSV_BLOCK_ROWS] * 2
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize(
     "argv, field",
     [
@@ -484,6 +514,37 @@ def test_cli_budget_exit_code(tmp_path, capsys):
     doc["t_end"] = 1e6  # grid would need ~1e10 samples
     path = write_config(tmp_path, doc)
     assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 3
+
+
+def test_cli_deep_phase_lock_exit_code(tmp_path, capsys):
+    # a lock (N-1)/(4 omega0) of 2.5e9 cancels the locked sin^2 to 0 in its
+    # usual form; the window then asks for far more samples than the budget
+    doc = {"params": {"n_atoms": 1_000_000_000, "omega0": 0.1}, "regime": "strong"}
+    path = write_config(tmp_path, doc)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("integration error: output grid needs 1286163290563 samples")
+    assert "Traceback" not in err
+
+
+# default_t_end of every preset, pinned bit for bit: the deep-lock form of
+# the locked envelope must not move a window that was already computed
+PRESET_T_END_HEX = {
+    "fig1": "0x1.f0bcb091c95ecp-10",
+    "fig2": "0x1.1bd98977e0c86p-12",
+    "fig3": "0x1.1bd98977e0c86p-12",
+    "fig4": "0x1.920cd7a9a6bc6p-22",
+    "fig5": "0x1.b25c232fb5a10p-25",
+    "fig6": "0x1.748d846d57071p-8",
+    "fig7": "0x1.7483fadd74ff2p-9",
+    "fig8": "0x1.16d960f8a282fp-4",
+}
+
+
+def test_preset_default_t_end_bits():
+    assert sorted(PRESET_T_END_HEX) == sorted(PRESETS)
+    for name, p in PRESETS.items():
+        assert default_t_end(p, p.regime).hex() == PRESET_T_END_HEX[name], name
 
 
 def test_cli_budget_error_prints_a_short_count(tmp_path, capsys):
