@@ -5,12 +5,13 @@ Usage:
     python scripts/compare_outputs.py [REV]      (REV defaults to HEAD)
 
 Unpacks REV's src/ with `git archive`, then runs `simulate preset fig1`
-... `fig8`, `simulate run --config` on the seed-1 perfbench sweep config
-and `simulate oracle --n 10` and `--n 100` under REV's package and under
-the working tree's, each command in its own subprocess and fresh output
-directory.  Every file written is compared byte for byte.  Exits 1 when a
-command fails, its stdout differs, or any file differs or exists on one
-side only.
+... `fig8`, `simulate preset fig5 --t-end 9.9e-8` (1.98M samples, just
+under the default sample budget), `simulate run --config` on the seed-1
+perfbench sweep config and `simulate oracle --n 10` and `--n 100` under
+REV's package and under the working tree's, each command in its own
+subprocess and fresh output directory.  Every file written is compared
+byte for byte.  Exits 1 when a command fails, its stdout differs, or any
+file differs or exists on one side only.
 """
 from __future__ import annotations
 
@@ -58,6 +59,8 @@ def main(rev: str) -> int:
         tmp = Path(tmp)
         trees = {rev: unpack_src(rev, tmp / "rev"), "working tree": REPO / "src"}
         commands = [["preset", f"fig{i}"] for i in range(1, 9)]
+        # many dense-fill blocks and a partial last one
+        commands.append(["preset", "fig5", "--t-end", "9.9e-8"])
         commands.append(list(make_inputs("sweep", 1, tmp).argv))
         commands += [["oracle", "--n", "10"], ["oracle", "--n", "100"]]
 
@@ -66,7 +69,7 @@ def main(rev: str) -> int:
         for i, argv in enumerate(commands):
             outs = {side: tmp / side.replace(" ", "_") / str(i) for side in trees}
             results = {side: run(src, argv, outs[side]) for side, src in trees.items()}
-            name = " ".join(argv[:2])
+            name = " ".join(argv).replace(str(tmp), "<tmp>")
             if any(code != 0 for code, _ in results.values()):
                 problems.append(f"{name}: exit codes {[c for c, _ in results.values()]}")
             if len({stdout for _, stdout in results.values()}) != 1:

@@ -171,7 +171,8 @@ def _angle_state(init: BlochState) -> tuple[float, float]:
 
 
 def _clipped_angles(values: list[np.ndarray], init: BlochState):
-    return np.clip(values[0], 0.0, math.pi), values[1]
+    # in place: the integrator hands over arrays it no longer uses
+    return np.clip(values[0], 0.0, math.pi, out=values[0]), values[1]
 
 
 def _integrate(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import weak
+from . import rk, weak
 from .bloch import BlochTrajectory
 from .params import derive_params
 
@@ -29,9 +29,19 @@ def emission_arrays(traj: BlochTrajectory) -> tuple[np.ndarray, np.ndarray, np.n
     d = derive_params(traj.sample_params)
     n = float(d.n_atoms)
     enh = 1.0 + d.alpha
-    energy = enh / 2.0 * np.cos(traj.theta)
-    st = np.sin(traj.theta)
-    sp = np.sin(traj.phi)
-    intensity = 0.25 * n * (n - 1.0) * enh * enh * st * st * sp * sp
+    energy = np.cos(traj.theta)
+    energy *= enh / 2.0
+    # block by block, so only the output columns grow with the grid
+    scale = 0.25 * n * (n - 1.0) * enh * enh
+    intensity = np.empty(len(traj.theta))
+    for lo in range(0, len(intensity), rk._BLOCK):
+        block = slice(lo, lo + rk._BLOCK)
+        st = np.sin(traj.theta[block])
+        sp = np.sin(traj.phi[block])
+        out = intensity[block]
+        np.multiply(scale, st, out=out)
+        out *= st
+        out *= sp
+        out *= sp
     return traj.t, energy, intensity
 

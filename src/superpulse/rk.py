@@ -15,9 +15,9 @@ interpreter version.
 
 Every accepted step is recorded (start time, size, state and stages).
 After stepping, the pair's matched quartic dense-output polynomial is
-evaluated on the whole caller-supplied output grid in one numpy pass, so
-interpolated values carry the same accuracy as the step endpoints, and
-they depend only on the step sequence, never on the grid.
+evaluated on the caller-supplied output grid in fixed blocks of points,
+so interpolated values carry the same accuracy as the step endpoints, and
+they depend only on the step sequence, never on the grid or the blocks.
 """
 from __future__ import annotations
 
@@ -64,6 +64,10 @@ _PI_ALPHA = 0.17
 _PI_BETA = 0.04
 
 _MAX_CONSECUTIVE_REJECTS = 64
+
+# grid points per block of the dense path (fill, observables, grid check):
+# its temporaries stay this size while the output columns grow with the grid
+_BLOCK = 1 << 16
 
 
 @dataclass
@@ -214,28 +218,33 @@ def _dense_output(grid, step_times, h, step_values, stages) -> list[np.ndarray]:
     (t, t + h] contains it.  The arithmetic is the scalar formula
     y + h*s*(q0 + s*(q1 + s*(q2 + s*q3))) with s = (t_grid - t)/h and
     q_c = sum_j k_j*P[j][c] summed left to right, one ufunc per operation.
+    Each block of _BLOCK grid points reads only the steps it touches.
     """
-    idx = np.searchsorted(step_times[1:], grid[1:], side="left")
-    s = (grid[1:] - step_times[idx]) / h[idx]
-    hs = h[idx] * s
-    outs = []
-    for i, yi in enumerate(step_values):
-        q = []
-        for c in range(4):
-            qc = 0.0
-            for j in range(7):
-                qc = qc + stages[:, j, i] * _P[j][c]
-            q.append(qc)
-        out = np.empty(len(grid))
+    outs = [np.empty(len(grid)) for _ in step_values]
+    for out, yi in zip(outs, step_values):
         out[0] = yi[0]
-        acc = out[1:]  # a view: Horner in place, one rounding per operation
-        np.multiply(s, q[3][idx], out=acc)
-        acc += q[2][idx]
-        acc *= s
-        acc += q[1][idx]
-        acc *= s
-        acc += q[0][idx]
-        acc *= hs
-        acc += yi[idx]
-        outs.append(out)
+    for lo in range(1, len(grid), _BLOCK):
+        g = grid[lo:lo + _BLOCK]
+        idx = np.searchsorted(step_times[1:], g, side="left")
+        s = (g - step_times[idx]) / h[idx]
+        hs = h[idx] * s
+        # the block lies in steps k0 .. k1 - 1; index them from k0
+        k0, k1 = idx[0], idx[-1] + 1
+        idx -= k0
+        for i, (out, yi) in enumerate(zip(outs, step_values)):
+            q = []
+            for c in range(4):
+                qc = 0.0
+                for j in range(7):
+                    qc = qc + stages[k0:k1, j, i] * _P[j][c]
+                q.append(qc)
+            acc = out[lo:lo + _BLOCK]  # a view: Horner in place, one rounding per operation
+            np.multiply(s, q[3][idx], out=acc)
+            acc += q[2][idx]
+            acc *= s
+            acc += q[1][idx]
+            acc *= s
+            acc += q[0][idx]
+            acc *= hs
+            acc += yi[k0:k1][idx]
     return outs

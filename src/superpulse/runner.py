@@ -311,13 +311,6 @@ def write_trajectory_csv(path: Path, *columns, header: str = TRAJECTORY_HEADER):
     _atomic_write(path, chunks())
 
 
-def read_trajectory_csv(path: str | Path):
-    """Load a trajectory CSV back into (t, theta, phi, energy, intensity)."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    data = np.atleast_2d(data)
-    return tuple(data[:, i] for i in range(5))
-
-
 def write_oracle(
     out_dir: str | Path,
     run: LadderRun,

@@ -18,6 +18,7 @@ from superpulse import (
     find_superpulses,
     sample_weak_solution,
 )
+from superpulse import rk
 from superpulse.pulses import SECH2_FWHM_FACTOR, _local_maxima, _prominences
 
 
@@ -107,6 +108,32 @@ def test_non_uniform_grid_rejected():
     y = np.array([0.0, 1.0, 0.5, 2.0, 0.1])
     with pytest.raises(ParameterDomainError):
         find_superpulses(t, y)
+
+
+@pytest.mark.parametrize("moved", [rk._BLOCK - 1, rk._BLOCK, rk._BLOCK + 1, 2 * rk._BLOCK + 4])
+def test_non_uniform_grid_past_the_first_block_rejected(moved):
+    # the spacing is checked block by block; a bad spacing in any block,
+    # also across a block boundary or in the partial last one, is refused
+    t = np.linspace(0.0, 1.0, 2 * rk._BLOCK + 5)
+    t[moved] += 1e-3 * (t[1] - t[0])
+    with pytest.raises(ParameterDomainError, match="uniform time grid"):
+        find_superpulses(t, np.ones_like(t))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_boundary_peak_counts_as_a_pulse():
+    # the global maximum is the last sample, so no local maximum: it still
+    # counts, and the record's metrics stay finite
+    t = np.linspace(0.0, 4e-6, 5)
+    y = np.array([0.0, 1.0, 0.0, 0.5, 3.0])
+    pulses = find_superpulses(t, y)
+    assert [p.t_peak for p in pulses] == [t[1], t[4]]
+    m = compute_metrics(t, y, derive_params(SampleParams(10_000, 1e6, 1e2)))
+    assert m.peak_intensity_scaled == 3.0
+    assert m.delay_time == t[4]
+    assert m.pulse_count_half_height == 1
+    assert m.tau_1_measured == pytest.approx(0.6 * (t[1] - t[0]))
+    assert all(math.isfinite(v) for v in m.ratios.values())
 
 
 def test_prominence_filter_rejects_ripple():

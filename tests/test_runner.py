@@ -27,7 +27,6 @@ from superpulse.runner import (
     RunConfig,
     load_config,
     parse_config,
-    read_trajectory_csv,
     run_config,
     run_preset,
 )
@@ -44,6 +43,12 @@ def write_config(tmp_path: Path, doc: dict, name: str = "config.json") -> Path:
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return path
+
+
+def read_trajectory_csv(path: Path):
+    """Load a trajectory CSV back into (t, theta, phi, energy, intensity)."""
+    data = np.atleast_2d(np.loadtxt(path, delimiter=",", skiprows=1))
+    return tuple(data[:, i] for i in range(5))
 
 
 def test_presets_cover_all_figures():
@@ -431,6 +436,21 @@ def test_cli_dense_zero_window_runs(tmp_path, capsys):
     assert json.loads((tmp_path / "fast_metrics.json").read_text())["samples"] == 1
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_boundary_peaked_record_writes_finite_metrics(tmp_path, capsys):
+    # the window ends on the rise of the first superpulse: the largest
+    # sample is the last one, which is no local maximum
+    assert main(["preset", "fig4", "--t-end", "1.7e-8", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    text = (tmp_path / "fig4_metrics.json").read_text()
+    metrics = json.loads(text, parse_constant=_reject_constant)["pulse_metrics"]
+    intensity = read_trajectory_csv(tmp_path / "fig4_trajectory.csv")[4]
+    assert intensity.argmax() == len(intensity) - 1
+    assert metrics["peak_intensity_scaled"] == intensity.max()
+    assert metrics["pulse_count_half_height"] == 1
+    assert math.isfinite(metrics["tau_1_measured"])
+
+
 def test_cli_run_without_emission_exit_code(tmp_path, capsys):
     # the excited pole is a fixed point, so the run never emits
     assert main(["preset", "fig2", "--theta0", "0", "--out", str(tmp_path)]) == 2
@@ -627,13 +647,18 @@ def fast_config_mutants(draw):
     doc=fast_config_mutants(),
     overrides=st.lists(st.tuples(st.sampled_from(_OVERRIDES), _override_floats), max_size=4),
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_run_fuzz_exits_with_a_documented_code(doc, overrides):
     with tempfile.TemporaryDirectory() as tmp:
         path = write_config(Path(tmp), doc)
         argv = ["run", "--config", str(path), "--out", str(Path(tmp) / "out")]
         # the --flag=value form keeps argparse from reading "-inf" as a flag
         argv += [f"{flag}={value!r}" for flag, value in overrides]
-        assert main(argv) in (0, 2, 3, 4)
+        code = main(argv)
+        assert code in (0, 2, 3, 4)
+        if code == 0:  # every metrics file is strict JSON: no Infinity or NaN
+            for metrics in Path(tmp).rglob("*_metrics.json"):
+                json.loads(metrics.read_text(), parse_constant=_reject_constant)
 
 
 # oracle floats: anything float() accepts, with the edge values and both

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,13 +12,16 @@ from superpulse import (
     IntegrationFailure,
     SampleBudgetError,
     SampleParams,
+    compute_metrics,
     default_initial_state,
     derive_params,
+    emission_arrays,
     integrate_cartesian,
     integrate_strong,
     integrate_weak_ode,
 )
 from superpulse import rk
+from superpulse.runner import PRESETS
 from superpulse.strong import _make_cartesian_rhs, _make_rhs
 
 P_FIG1 = SampleParams(10_000, 1e6, 1e2)
@@ -126,6 +130,42 @@ def test_dense_output_depends_only_on_the_step_sequence():
         assert np.array_equal(a, b[::2])
     assert np.array_equal(coarse_res.step_times, fine_res.step_times)
     assert coarse_res.n_accepted == fine_res.n_accepted > 10
+
+
+def _dense_path_values():
+    """Grid values of the angle and cartesian fills, the observables and a zero window."""
+    angles = integrate_strong(P_FIG2, t_end=2e-5)
+    cart = integrate_cartesian(P_FIG2, t_end=2e-5)
+    zero = integrate_strong(P_FIG2, t_end=0.0)
+    return [angles.theta, angles.phi, *emission_arrays(angles), cart.theta, cart.phi,
+            zero.theta, zero.phi, *emission_arrays(zero)]
+
+
+@pytest.mark.parametrize("block", [7, 1])
+def test_dense_fill_is_blockwise_invariant(monkeypatch, block):
+    default = _dense_path_values()
+    assert len(default[0]) > 50 * block
+    monkeypatch.setattr(rk, "_BLOCK", block)
+    for a, b in zip(default, _dense_path_values(), strict=True):
+        assert np.array_equal(_bits(a), _bits(b))
+
+
+def test_dense_path_peak_memory_is_the_columns_and_a_few_blocks():
+    # fig5 keeps 1.01M samples: the five output columns (t, theta, phi,
+    # energy, intensity) set the peak, not full-length temporaries
+    p = PRESETS["fig5"]
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        traj = integrate_strong(p)
+        t, energy, intensity = emission_arrays(traj)
+        compute_metrics(t, intensity, derive_params(p))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(t) > 10**6
+    assert peak <= 5 * 8 * len(t) + 4 * 2**20
 
 
 def test_sample_budget_guard():
