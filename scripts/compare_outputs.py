@@ -11,7 +11,8 @@ perfbench sweep config and `simulate oracle --n 10` and `--n 100` under
 REV's package and under the working tree's, each command in its own
 subprocess and fresh output directory.  Every file written is compared
 byte for byte.  Exits 1 when a command fails, its stdout differs, or any
-file differs or exists on one side only.
+file differs or exists on one side only.  The summary line also gives the
+line count of src/**/*.py in both trees.
 """
 from __future__ import annotations
 
@@ -41,6 +42,11 @@ def unpack_src(rev: str, dest: Path) -> Path:
     return dest / "src"
 
 
+def src_lines(src: Path) -> int:
+    """Lines in the tree's Python sources, as `wc -l` counts them."""
+    return sum(f.read_bytes().count(b"\n") for f in src.rglob("*.py"))
+
+
 def run(src: Path, argv: list[str], out: Path) -> tuple[int, str]:
     """Exit code and stdout of one CLI call, the output directory masked."""
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -58,6 +64,7 @@ def main(rev: str) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         trees = {rev: unpack_src(rev, tmp / "rev"), "working tree": REPO / "src"}
+        lines = {side: src_lines(src) for side, src in trees.items()}
         commands = [["preset", f"fig{i}"] for i in range(1, 9)]
         # many dense-fill blocks and a partial last one
         commands.append(["preset", "fig5", "--t-end", "9.9e-8"])
@@ -88,7 +95,8 @@ def main(rev: str) -> int:
     for line in problems:
         print(f"DIFF {line}")
     print(f"{n_same} of {n_files} files identical to {rev}, {len(commands)} commands,"
-          f" {time.perf_counter() - start:.0f} s")
+          f" {time.perf_counter() - start:.0f} s; src/ lines: {rev} {lines[rev]},"
+          f" working tree {lines['working tree']}")
     return 1 if problems else 0
 
 

@@ -46,9 +46,8 @@ from .runner import (
     run_config,
     run_preset,
 )
-from .strong import integrate_cartesian, integrate_strong
+from .strong import integrate_strong
 from .weak import (
-    integrate_weak_ode,
     sample_weak_solution,
     weak_angles,
     weak_energy,

@@ -2,11 +2,10 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import rk
 from .errors import ParameterDomainError, SampleBudgetError
 from .params import DerivedParams, Regime, SampleParams, derive_params, is_finite
 
@@ -66,7 +65,7 @@ class IntegratorStats:
     n_steps: int
     n_rejected: int
     max_error_ratio: float
-    norm_drift: float | None = None  # cartesian diagnostic only
+    norm_drift: float | None = None  # set only by the cartesian twin in tests; null in the metrics
 
 
 @dataclass
@@ -75,9 +74,7 @@ class BlochTrajectory:
 
     kind records which regime's observable map applies to the samples
     (set by whichever routine produced the trajectory, not by the
-    classifier).  Integrated trajectories also carry the integrator's
-    accepted steps, led by the initial point; closed-form ones leave the
-    step_* fields as None.
+    classifier).
     """
 
     sample_params: SampleParams
@@ -86,9 +83,6 @@ class BlochTrajectory:
     theta: np.ndarray
     phi: np.ndarray
     stats: IntegratorStats
-    step_t: np.ndarray | None = field(default=None, repr=False)
-    step_theta: np.ndarray | None = field(default=None, repr=False)
-    step_phi: np.ndarray | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.t)
@@ -164,63 +158,3 @@ def fast_phase_max_step(d: DerivedParams, ctrl: IntegrationControl) -> float:
     if ctrl.max_step is not None:
         cap = min(cap, ctrl.max_step)
     return cap
-
-
-def _angle_state(init: BlochState) -> tuple[float, float]:
-    return init.theta, init.phi
-
-
-def _clipped_angles(values: list[np.ndarray], init: BlochState):
-    # in place: the integrator hands over arrays it no longer uses
-    return np.clip(values[0], 0.0, math.pi, out=values[0]), values[1]
-
-
-def _integrate(
-    p: SampleParams,
-    kind: Regime,
-    make_rhs,
-    init: BlochState | None,
-    t_end: float | None,
-    ctrl: IntegrationControl | None,
-    to_state=_angle_state,
-    to_angles=_clipped_angles,
-) -> tuple[BlochTrajectory, rk.RKResult]:
-    """Integrate make_rhs(d) over the standard output grid of p.
-
-    Unset init, t_end and ctrl take their defaults for kind.  to_state
-    maps the initial state onto the integrated variables and to_angles maps
-    integrated values (grid samples or steps) back to (theta, phi).  The
-    sample budget ctrl.max_samples also caps the accepted steps, so a stiff
-    window cannot run for hours on a small grid.
-    """
-    d = derive_params(p)
-    if init is None:
-        init = default_initial_state(p)
-    if t_end is None:
-        t_end = default_t_end(p, kind)
-    if ctrl is None:
-        ctrl = IntegrationControl()
-    grid = output_grid(t_end, d, ctrl)
-    res = rk.solve(
-        make_rhs(d),
-        to_state(init),
-        grid,
-        rtol=ctrl.rtol,
-        atol=ctrl.atol,
-        max_step=fast_phase_max_step(d, ctrl),
-        max_steps=ctrl.max_samples,
-    )
-    theta, phi = to_angles(res.grid_values, init)
-    step_theta, step_phi = to_angles(res.step_values, init)
-    traj = BlochTrajectory(
-        sample_params=p,
-        kind=kind,
-        t=grid,
-        theta=theta,
-        phi=phi,
-        stats=IntegratorStats(res.n_accepted, res.n_rejected, res.max_error_ratio),
-        step_t=res.step_times,
-        step_theta=step_theta,
-        step_phi=step_phi,
-    )
-    return traj, res

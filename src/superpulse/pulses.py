@@ -56,6 +56,10 @@ def _as_arrays(t, y) -> tuple[np.ndarray, np.ndarray]:
     """t and y as float arrays, checked to be a non-empty uniformly gridded record."""
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
+    if t.ndim != 1 or t.shape != y.shape:
+        raise ParameterDomainError(
+            "y", f"must be a 1-D record of the shape of t; got t {t.shape}, y {y.shape}"
+        )
     if t.size == 0:
         raise EmptyAnalysisError("no emission records to analyse")
     if t.size >= 3:
@@ -138,10 +142,13 @@ def find_superpulses(t, y) -> list[Superpulse]:
 
     Local maxima are kept when their prominence is at least
     PROMINENCE_FRACTION of the global maximum, which is always a pulse.
-    Raises EmptyAnalysisError for an all-zero signal.
+    Raises EmptyAnalysisError for an all-zero signal and
+    ParameterDomainError for a NaN or infinite maximum.
     """
     t, y = _as_arrays(t, y)
     gmax = y.max()
+    if not math.isfinite(gmax):
+        raise ParameterDomainError("y", f"must be finite; its maximum is {gmax}")
     if gmax <= 0.0:
         raise EmptyAnalysisError(NO_EMISSION)
 

@@ -1,24 +1,18 @@
-"""Weak-coupling dynamics: closed-form solution, observables and the ODE
-cross-check.
+"""Weak-coupling dynamics: closed-form solution and observables.
 
-The closed form is authoritative in this regime; the ODE integrator exists
-to validate it.  The polar branch through pi/2 is resolved by tracking
-cos(theta) = -tanh((t - t0)/tau_c), which is single-valued where arcsin of
-the sech form is not.
+The polar branch through pi/2 is resolved by tracking cos(theta) =
+-tanh((t - t0)/tau_c), which is single-valued where arcsin of the sech
+form is not.
 """
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from .bloch import (
     DEFAULT_PHI0,
-    BlochState,
     BlochTrajectory,
     IntegrationControl,
     IntegratorStats,
-    _integrate,
     default_t_end,
     output_grid,
 )
@@ -95,24 +89,3 @@ def sample_weak_solution(
         phi=phi,
         stats=IntegratorStats(0, 0, 0.0),
     )
-
-
-def _make_rhs(d: DerivedParams):
-    """dtheta/dt = (N-1)(Gamma/2) sin(theta); phi advances at the effective frequency."""
-    a = (d.n_atoms - 1.0) * d.gamma_eff / 2.0
-    om = d.omega_eff
-
-    def f(t, theta, phi):
-        return a * math.sin(theta), om
-
-    return f
-
-
-def integrate_weak_ode(
-    p: SampleParams,
-    init: BlochState | None = None,
-    t_end: float | None = None,
-    ctrl: IntegrationControl | None = None,
-) -> BlochTrajectory:
-    """Numerically integrate the weak-coupling ODEs (validation path)."""
-    return _integrate(p, Regime.WEAK, _make_rhs, init, t_end, ctrl)[0]

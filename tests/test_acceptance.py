@@ -23,7 +23,6 @@ from superpulse import (
     derive_params,
     emission_arrays,
     evolve_ladder,
-    integrate_cartesian,
     integrate_strong,
     peak_intensity,
     sample_weak_solution,
@@ -31,6 +30,7 @@ from superpulse import (
 )
 from superpulse.pulses import SECH2_FWHM_FACTOR
 from superpulse.runner import PRESETS
+from twins import integrate_cartesian
 
 
 @dataclass

@@ -110,6 +110,25 @@ def test_non_uniform_grid_rejected():
         find_superpulses(t, y)
 
 
+@pytest.mark.parametrize("t, y", [
+    ([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 0.0]),       # t longer than y
+    ([0.0, 1.0, 2.0], [0.0, 1.0, 0.0, 2.0, 0.0]),       # t shorter than y
+    ([[0.0, 1.0, 2.0]], [[0.0, 1.0, 0.0]]),             # not 1-D
+])
+def test_mismatched_record_rejected(t, y):
+    with pytest.raises(ParameterDomainError, match="1-D record of the shape of t"):
+        find_superpulses(t, y)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_record_rejected(bad):
+    t = np.linspace(0.0, 1.0, 5)
+    y = np.array([0.0, 1.0, bad, 1.0, 0.0])
+    with pytest.raises(ParameterDomainError, match="must be finite") as exc:
+        find_superpulses(t, y)
+    assert "identically zero" not in str(exc.value)
+
+
 @pytest.mark.parametrize("moved", [rk._BLOCK - 1, rk._BLOCK, rk._BLOCK + 1, 2 * rk._BLOCK + 4])
 def test_non_uniform_grid_past_the_first_block_rejected(moved):
     # the spacing is checked block by block; a bad spacing in any block,

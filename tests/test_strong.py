@@ -16,13 +16,13 @@ from superpulse import (
     default_initial_state,
     derive_params,
     emission_arrays,
-    integrate_cartesian,
     integrate_strong,
-    integrate_weak_ode,
 )
 from superpulse import rk
+from superpulse.bloch import fast_phase_max_step, output_grid
 from superpulse.runner import PRESETS
-from superpulse.strong import _make_cartesian_rhs, _make_rhs
+from superpulse.strong import _make_rhs
+from twins import cartesian_state, integrate_cartesian, make_cartesian_rhs
 
 P_FIG1 = SampleParams(10_000, 1e6, 1e2)
 P_FIG2 = SampleParams(10_000, 1e5, 1e2)   # same physics, ~20x cheaper window
@@ -61,9 +61,9 @@ def test_zero_window_returns_single_initial_sample():
     assert traj.theta[0] == init.theta
     assert traj.phi[0] == init.phi
     # the initial point is the only natural step
-    assert list(traj.step_t) == [0.0]
-    assert list(traj.step_theta) == [init.theta]
-    assert list(traj.step_phi) == [init.phi]
+    res = rk.solve(RHS_FIG1, (init.theta, init.phi), np.zeros(1), 1e-9, 1e-12, 1e-6)
+    assert list(res.step_times) == [0.0]
+    assert [list(v) for v in res.step_values] == [[init.theta], [init.phi]]
 
 
 def test_samples_start_at_zero_and_increase():
@@ -104,17 +104,24 @@ def test_self_convergence_under_tighter_tolerance():
     assert np.max(np.abs(eps_base - eps_tight)) < 1e-6 * scale
 
 
-def test_integrated_trajectories_keep_natural_steps():
-    for traj in (
-        integrate_strong(P_FIG2),
-        integrate_cartesian(P_FIG2, t_end=1e-4),
-        integrate_weak_ode(SampleParams(500, 1e4, 10.0)),
+def test_solve_records_natural_steps():
+    # angle and cartesian flows on the grid and step cap integrate_strong uses
+    d = derive_params(P_FIG2)
+    init = default_initial_state(P_FIG2)
+    ctrl = IntegrationControl()
+    grid = output_grid(1e-4, d, ctrl)
+    for rhs, y0 in (
+        (_make_rhs(d), (init.theta, init.phi)),
+        (make_cartesian_rhs(d), cartesian_state(init)),
     ):
-        n = traj.stats.n_steps + 1
-        assert len(traj.step_t) == len(traj.step_theta) == len(traj.step_phi) == n
-        assert traj.step_t[0] == 0.0
-        assert traj.step_t[-1] == traj.t[-1]
-        assert np.all(np.diff(traj.step_t) > 0)
+        res = rk.solve(rhs, y0, grid, ctrl.rtol, ctrl.atol, fast_phase_max_step(d, ctrl))
+        n = res.n_accepted + 1
+        assert n > 10
+        assert len(res.step_times) == n
+        assert [len(v) for v in res.step_values] == [n] * len(y0)
+        assert res.step_times[0] == 0.0
+        assert res.step_times[-1] == grid[-1]
+        assert np.all(np.diff(res.step_times) > 0)
 
 
 def test_dense_output_depends_only_on_the_step_sequence():
@@ -230,7 +237,7 @@ def _bits(values):
 def test_generated_step_matches_the_plain_tableau_loop(cartesian, angles, t, h):
     theta, phi = angles
     if cartesian:
-        rhs = _make_cartesian_rhs(D_FIG1)
+        rhs = make_cartesian_rhs(D_FIG1)
         y = (math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta))
     else:
         rhs, y = RHS_FIG1, (theta, phi)

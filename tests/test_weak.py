@@ -11,12 +11,12 @@ from superpulse import (
     SampleParams,
     characteristic_time,
     delay_time,
-    integrate_weak_ode,
     peak_intensity,
     weak_angles,
     weak_energy,
     weak_intensity,
 )
+from twins import integrate_weak_ode
 
 P_DICKE = SampleParams(10_000, 1e6, 0.0)          # alpha = 0
 P_DENSE = SampleParams(10_000, 1e6, 1e2)          # alpha = 2
