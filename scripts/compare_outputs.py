@@ -7,12 +7,14 @@ Usage:
 Unpacks REV's src/ with `git archive`, then runs `simulate preset fig1`
 ... `fig8`, `simulate preset fig5 --t-end 9.9e-8` (1.98M samples, just
 under the default sample budget), `simulate run --config` on the seed-1
-perfbench sweep config and `simulate oracle --n 10` and `--n 100` under
-REV's package and under the working tree's, each command in its own
-subprocess and fresh output directory.  Every file written is compared
-byte for byte.  Exits 1 when a command fails, its stdout differs, or any
-file differs or exists on one side only.  The summary line also gives the
-line count of src/**/*.py in both trees.
+perfbench sweep config and `simulate oracle --n 10` and `--n 100`, plus
+five commands the program must refuse (REFUSALS), under REV's package and
+under the working tree's, each command in its own subprocess and fresh
+output directory.  Every file written is compared byte for byte.  Exits 1
+when a command's exit code is not the expected one on either side, its
+stdout or stderr differs, a refused command writes a file, or any file
+differs or exists on one side only.  The summary line also gives the line
+count of src/**/*.py in both trees.
 """
 from __future__ import annotations
 
@@ -31,6 +33,15 @@ sys.path.insert(0, str(REPO))
 
 from perfbench.workloads import make_inputs  # noqa: E402
 
+# commands that must fail, each with its exit code (2 validation, 3 integration)
+REFUSALS = [
+    (["preset", "fig2", "--theta0", "3.141592653589793"], 2),
+    (["preset", "fig7", "--theta0", "0.5"], 2),
+    (["preset", "fig7", "--t-end", "1e300"], 3),
+    (["oracle", "--n", "10", "--t-end", "1e6"], 2),
+    (["oracle", "--n", "2001"], 2),
+]
+
 
 def unpack_src(rev: str, dest: Path) -> Path:
     tar = subprocess.run(
@@ -47,16 +58,15 @@ def src_lines(src: Path) -> int:
     return sum(f.read_bytes().count(b"\n") for f in src.rglob("*.py"))
 
 
-def run(src: Path, argv: list[str], out: Path) -> tuple[int, str]:
-    """Exit code and stdout of one CLI call, the output directory masked."""
+def run(src: Path, argv: list[str], out: Path) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one CLI call, the output directory masked."""
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
         [sys.executable, "-m", "superpulse.cli", *argv, "--out", str(out)],
         env=env, capture_output=True, text=True,
     )
-    if proc.returncode != 0:
-        sys.stderr.write(proc.stderr)
-    return proc.returncode, proc.stdout.replace(str(out), "<out>")
+    return (proc.returncode, proc.stdout.replace(str(out), "<out>"),
+            proc.stderr.replace(str(out), "<out>"))
 
 
 def main(rev: str) -> int:
@@ -70,19 +80,26 @@ def main(rev: str) -> int:
         commands.append(["preset", "fig5", "--t-end", "9.9e-8"])
         commands.append(list(make_inputs("sweep", 1, tmp).argv))
         commands += [["oracle", "--n", "10"], ["oracle", "--n", "100"]]
+        commands = [(argv, 0) for argv in commands] + REFUSALS
 
         problems = []
         n_files = n_same = 0
-        for i, argv in enumerate(commands):
+        for i, (argv, expected) in enumerate(commands):
             outs = {side: tmp / side.replace(" ", "_") / str(i) for side in trees}
             results = {side: run(src, argv, outs[side]) for side, src in trees.items()}
             name = " ".join(argv).replace(str(tmp), "<tmp>")
-            if any(code != 0 for code, _ in results.values()):
-                problems.append(f"{name}: exit codes {[c for c, _ in results.values()]}")
-            if len({stdout for _, stdout in results.values()}) != 1:
-                problems.append(f"{name}: stdout differs")
+            codes = [code for code, _, _ in results.values()]
+            if any(code != expected for code in codes):
+                problems.append(f"{name}: exit codes {codes}, expected {expected}")
+                for _, _, stderr in results.values():
+                    sys.stderr.write(stderr)
+            for k, stream in ((1, "stdout"), (2, "stderr")):
+                if len({result[k] for result in results.values()}) != 1:
+                    problems.append(f"{name}: {stream} differs")
             a, b = (sorted(p.name for p in out.glob("*")) if out.exists() else []
                     for out in outs.values())
+            if expected != 0 and (a or b):
+                problems.append(f"{name}: refused, yet wrote {sorted(set(a) | set(b))}")
             for f in sorted(set(a) ^ set(b)):
                 problems.append(f"{name}: {f} written on one side only")
             for f in sorted(set(a) & set(b)):

@@ -88,7 +88,7 @@ class BlochTrajectory:
         return len(self.t)
 
 
-def default_initial_state(p: SampleParams, phi0: float = DEFAULT_PHI0) -> BlochState:
+def default_initial_state(p: SampleParams) -> BlochState:
     """Initial tipping angle shared by the strong and weak pipelines.
 
     sin(theta0) = 2/(N + 1/N) = sech(ln N), which is exactly where the
@@ -96,7 +96,7 @@ def default_initial_state(p: SampleParams, phi0: float = DEFAULT_PHI0) -> BlochS
     fixed point, so some tipping is required for any emission at all.
     """
     n = float(p.n_atoms)
-    return BlochState(theta=math.asin(2.0 / (n + 1.0 / n)), phi=phi0)
+    return BlochState(theta=math.asin(2.0 / (n + 1.0 / n)), phi=DEFAULT_PHI0)
 
 
 def envelope_timescale(p: SampleParams, kind: Regime) -> float:

@@ -67,7 +67,7 @@ def _add_run_options(sp: argparse.ArgumentParser):
 
 def _run_oracle(args) -> int:
     run = evolve_ladder(args.n, args.gamma_eff, args.t_end, omega_ratio=args.omega_ratio)
-    csv_path = write_oracle(args.out, run, args.n, args.gamma_eff, args.omega_ratio)
+    csv_path = write_oracle(args.out, run)
     print(f"oracle: wrote {csv_path}")
     return EXIT_OK
 

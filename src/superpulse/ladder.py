@@ -49,6 +49,9 @@ class LadderRun:
     populations: np.ndarray   # shape (len(t), N+1)
     mean_m: np.ndarray
     intensity: np.ndarray     # scaled by gamma*omega0
+    n_atoms: int              # the validated inputs, read by the run's summary
+    gamma_eff: float
+    omega_ratio: float
 
 
 def evolve_ladder(
@@ -72,13 +75,13 @@ def evolve_ladder(
     if n_atoms < 2 or n_atoms > N_ORACLE_CAP:
         raise ParameterDomainError("n_atoms", f"oracle supports 2..{N_ORACLE_CAP}, got {n_atoms}")
     for name, value in (("gamma_eff", gamma_eff), ("omega_ratio", omega_ratio)):
-        if not (math.isfinite(value) and value > 0):
+        if not (is_finite(value) and value > 0):
             raise ParameterDomainError(name, f"must be finite and positive, got {value!r}")
     if n_out < 2:
         raise ParameterDomainError("n_out", f"need at least 2 output times, got {n_out!r}")
     if t_end is None:
         t_end = 40.0 * math.log(max(n_atoms, 3)) / (n_atoms * gamma_eff)
-    if not (math.isfinite(t_end) and t_end > 0):
+    if not (is_finite(t_end) and t_end > 0):
         raise ParameterDomainError("t_end", f"must be finite and positive, got {t_end!r}")
     rates = cascade_rates(n_atoms)
     # plain floats from here: an overflow gives inf for the checks, not a numpy warning
@@ -115,4 +118,5 @@ def evolve_ladder(
     m_values = n_atoms / 2.0 - np.arange(n_atoms + 1)
     mean_m = pops @ m_values
     intensity = omega_ratio * gamma_eff * (pops @ rates)
-    return LadderRun(t=t_out, populations=pops, mean_m=mean_m, intensity=intensity)
+    return LadderRun(t=t_out, populations=pops, mean_m=mean_m, intensity=intensity,
+                     n_atoms=n_atoms, gamma_eff=gamma_eff, omega_ratio=omega_ratio)

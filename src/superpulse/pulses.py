@@ -143,12 +143,15 @@ def find_superpulses(t, y) -> list[Superpulse]:
     Local maxima are kept when their prominence is at least
     PROMINENCE_FRACTION of the global maximum, which is always a pulse.
     Raises EmptyAnalysisError for an all-zero signal and
-    ParameterDomainError for a NaN or infinite maximum.
+    ParameterDomainError for a NaN or infinite maximum or a negative sample.
     """
     t, y = _as_arrays(t, y)
     gmax = y.max()
     if not math.isfinite(gmax):
         raise ParameterDomainError("y", f"must be finite; its maximum is {gmax}")
+    gmin = y.min()
+    if gmin < 0.0:
+        raise ParameterDomainError("y", f"must be non-negative; its minimum is {gmin}")
     if gmax <= 0.0:
         raise EmptyAnalysisError(NO_EMISSION)
 

@@ -311,13 +311,7 @@ def write_trajectory_csv(path: Path, *columns, header: str = TRAJECTORY_HEADER):
     _atomic_write(path, chunks())
 
 
-def write_oracle(
-    out_dir: str | Path,
-    run: LadderRun,
-    n_atoms: int,
-    gamma_eff: float,
-    omega_ratio: float,
-) -> Path:
+def write_oracle(out_dir: str | Path, run: LadderRun) -> Path:
     """Write an exact-cascade run's trajectory CSV and summary JSON; returns the CSV path.
 
     The outputs must be no further apart than the top rung's lifetime
@@ -326,10 +320,10 @@ def write_oracle(
     """
     t_end = float(run.t[-1])
     spacing = t_end / (len(run.t) - 1)
-    if spacing * gamma_eff * n_atoms > 1.0:
+    if spacing * run.gamma_eff * run.n_atoms > 1.0:
         raise ParameterDomainError(
             "t_end", f"{t_end!r} spaces the outputs {spacing:.3g} apart, wider than the top"
-            f" rung's lifetime 1/(N*gamma_eff) = {1.0 / (n_atoms * gamma_eff):.3g}"
+            f" rung's lifetime 1/(N*gamma_eff) = {1.0 / (run.n_atoms * run.gamma_eff):.3g}"
         )
     peak = float(run.intensity.max())
     with np.errstate(over="ignore"):  # an overflow is reported just below
@@ -340,9 +334,9 @@ def write_oracle(
             " intensity"
         )
     summary = {
-        "n_atoms": n_atoms,
-        "gamma_eff": gamma_eff,
-        "omega_ratio": omega_ratio,
+        "n_atoms": run.n_atoms,
+        "gamma_eff": run.gamma_eff,
+        "omega_ratio": run.omega_ratio,
         "t_end": t_end,
         "peak_intensity": peak,
         "peak_time": float(run.t[int(np.argmax(run.intensity))]),
@@ -351,10 +345,11 @@ def write_oracle(
         "final_mean_m": float(run.mean_m[-1]),
     }
     out_dir = Path(out_dir)
-    csv_path = out_dir / f"oracle_n{n_atoms}_trajectory.csv"
+    csv_path = out_dir / f"oracle_n{run.n_atoms}_trajectory.csv"
     write_trajectory_csv(csv_path, run.t, run.mean_m, run.intensity, header=ORACLE_HEADER)
-    _write_json(out_dir / f"oracle_n{n_atoms}_summary.json", summary)
+    _write_json(out_dir / f"oracle_n{run.n_atoms}_summary.json", summary)
     return csv_path
+
 
 def _metrics_doc(
     cfg: RunConfig,
@@ -362,19 +357,12 @@ def _metrics_doc(
     metrics: PulseMetrics,
     traj: BlochTrajectory,
 ) -> dict:
-    p = cfg.params
     mdoc = asdict(metrics)
     mdoc.pop("predictions")
     return {
         "config": {
             "label": cfg.label,
-            "params": {
-                "n_atoms": p.n_atoms,
-                "omega0": p.omega0,
-                "g": p.g,
-                "gamma": p.gamma,
-                "regime": p.regime.value,
-            },
+            "params": {**asdict(cfg.params), "regime": cfg.params.regime.value},
             "init": {"theta0": cfg.init.theta, "phi0": cfg.init.phi},
             "t_end": cfg.t_end,
             "integration": asdict(cfg.integration),
@@ -416,36 +404,15 @@ def execute(cfg: RunConfig) -> RunResult:
     return RunResult(cfg.label, traj_path, metrics_path, metrics)
 
 
-def preset_config(name: str) -> RunConfig:
-    """The configuration of one figure preset."""
+def run_preset(name: str, **overrides) -> RunResult:
+    """Execute one of the figure presets; overrides are _apply_overrides' keywords."""
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    return RunConfig(params=PRESETS[name], label=name)
+    return execute(_apply_overrides(RunConfig(params=PRESETS[name], label=name), **overrides))
 
 
-def run_preset(
-    name: str,
-    out_dir: str | Path | None = None,
-    rtol: float | None = None,
-    t_end: float | None = None,
-    theta0: float | None = None,
-    phi0: float | None = None,
-) -> RunResult:
-    """Execute one of the figure presets, with optional overrides."""
-    return execute(_apply_overrides(preset_config(name), out_dir, rtol, t_end, theta0, phi0))
-
-
-def run_config(
-    path: str | Path,
-    out_dir: str | Path | None = None,
-    rtol: float | None = None,
-    t_end: float | None = None,
-    theta0: float | None = None,
-    phi0: float | None = None,
-) -> list[RunResult]:
-    """Execute every run described by a configuration file."""
+def run_config(path: str | Path, **overrides) -> list[RunResult]:
+    """Execute every run described by a configuration file, with the same overrides."""
     # every override is checked before the first run writes a file
-    configs = [
-        _apply_overrides(cfg, out_dir, rtol, t_end, theta0, phi0) for cfg in load_config(path)
-    ]
+    configs = [_apply_overrides(cfg, **overrides) for cfg in load_config(path)]
     return [execute(cfg) for cfg in configs]

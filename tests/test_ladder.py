@@ -119,6 +119,13 @@ def test_oracle_n_cap():
             evolve_ladder(n, 1.0)
 
 
+@pytest.mark.parametrize("field", ["gamma_eff", "t_end", "omega_ratio"])
+def test_integers_beyond_float_range_rejected(field):
+    kwargs = {"gamma_eff": 1.0, field: 10**400}
+    with pytest.raises(ParameterDomainError, match=f"^{field}: "):
+        evolve_ladder(10, **kwargs)
+
+
 def test_oracle_integral_float_n_runs_like_the_int():
     a, b = evolve_ladder(10.0, 1.0, n_out=11), evolve_ladder(10, 1.0, n_out=11)
     for name in ("t", "populations", "mean_m", "intensity"):

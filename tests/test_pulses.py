@@ -129,6 +129,22 @@ def test_non_finite_record_rejected(bad):
     assert "identically zero" not in str(exc.value)
 
 
+@pytest.mark.parametrize("bad", [-math.inf, -1e-300])
+def test_negative_sample_rejected(bad):
+    # a negative sample would act as a bottomless valley between the pulses
+    t = np.linspace(0.0, 1.0, 7)
+    y = np.array([0.0, 1.0, bad, 1.0, 0.0, 0.5, 0.0])
+    with pytest.raises(ParameterDomainError, match="must be non-negative") as exc:
+        find_superpulses(t, y)
+    assert "identically zero" not in str(exc.value)
+
+
+def test_negative_zero_sample_accepted():
+    t = np.linspace(0.0, 1.0, 7)
+    y = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 0.5, 0.0])
+    assert find_superpulses(t, np.where(y == 0.0, -0.0, y)) == find_superpulses(t, y)
+
+
 @pytest.mark.parametrize("moved", [rk._BLOCK - 1, rk._BLOCK, rk._BLOCK + 1, 2 * rk._BLOCK + 4])
 def test_non_uniform_grid_past_the_first_block_rejected(moved):
     # the spacing is checked block by block; a bad spacing in any block,

@@ -18,6 +18,7 @@ from superpulse import (
     compute_metrics,
     default_t_end,
     derive_params,
+    evolve_ladder,
     runner,
 )
 from superpulse.cli import main
@@ -320,7 +321,7 @@ def test_preset_overrides_recorded(tmp_path):
     cfg = json.loads(result.metrics_path.read_text())["config"]
     assert cfg["t_end"] == 1e-3
     # the angle the closed form actually starts from
-    assert cfg["init"]["theta0"] == runner.preset_config("fig7").init.theta
+    assert cfg["init"]["theta0"] == RunConfig(PRESETS["fig7"]).init.theta
     assert cfg["init"]["phi0"] == 0.5
 
 
@@ -591,6 +592,15 @@ def test_cli_oracle(tmp_path, capsys):
     assert summary["quanta_emitted"] == pytest.approx(10.0, rel=1e-6)
     csv = (tmp_path / "oracle_n10_trajectory.csv").read_text().splitlines()
     assert csv[0] == "gamma_t,mean_m,intensity_over_gamma_omega0"
+
+
+def test_oracle_summary_describes_its_run(tmp_path):
+    runner.write_oracle(tmp_path, evolve_ladder(10, 2.5, omega_ratio=3.0))
+    summary = json.loads((tmp_path / "oracle_n10_summary.json").read_text())
+    assert (summary["n_atoms"], summary["gamma_eff"], summary["omega_ratio"]) == (10, 2.5, 3.0)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "oracle_n10_summary.json", "oracle_n10_trajectory.csv"
+    ]
 
 
 # CLI float overrides: anything float() accepts, with the edge values forced in
