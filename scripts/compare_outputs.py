@@ -13,7 +13,9 @@ under the working tree's, each command in its own subprocess and fresh
 output directory.  Every file written is compared byte for byte.  Exits 1
 when a command's exit code is not the expected one on either side, its
 stdout or stderr differs, a refused command writes a file, or any file
-differs or exists on one side only.  The summary line also gives the line
+differs or exists on one side only.  A differing CSV's line also counts
+the rows that differ and gives, per column, the largest difference over
+the column's largest magnitude.  The summary line also gives the line
 count of src/**/*.py in both trees.
 """
 from __future__ import annotations
@@ -30,6 +32,8 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO))
+
+import numpy as np  # noqa: E402
 
 from perfbench.workloads import make_inputs  # noqa: E402
 
@@ -56,6 +60,20 @@ def unpack_src(rev: str, dest: Path) -> Path:
 def src_lines(src: Path) -> int:
     """Lines in the tree's Python sources, as `wc -l` counts them."""
     return sum(f.read_bytes().count(b"\n") for f in src.rglob("*.py"))
+
+
+def csv_difference(a: Path, b: Path) -> str:
+    """How two CSVs with one header line differ: rows, and per column the relative size."""
+    lines_a, lines_b = (f.read_bytes().splitlines() for f in (a, b))
+    if len(lines_a) != len(lines_b):
+        return f"{len(lines_a) - 1} rows against {len(lines_b) - 1}"
+    n_rows = sum(x != y for x, y in zip(lines_a[1:], lines_b[1:]))
+    header = lines_a[0].decode().split(",")
+    x, y = (np.loadtxt(f, delimiter=",", skiprows=1, ndmin=2) for f in (a, b))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.max(np.abs(x - y), axis=0) / np.max(np.abs(x), axis=0)
+    columns = ", ".join(f"{name} {r:.2g}" for name, r in zip(header, rel))
+    return f"{n_rows} of {len(lines_a) - 1} rows; largest relative difference {columns}"
 
 
 def run(src: Path, argv: list[str], out: Path) -> tuple[int, str, str]:
@@ -106,6 +124,9 @@ def main(rev: str) -> int:
                 n_files += 1
                 if filecmp.cmp(*(out / f for out in outs.values()), shallow=False):
                     n_same += 1
+                elif f.endswith(".csv"):
+                    problems.append(f"{name}: {f} differs ("
+                                    f"{csv_difference(*(out / f for out in outs.values()))})")
                 else:
                     problems.append(f"{name}: {f} differs")
 

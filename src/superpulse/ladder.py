@@ -11,10 +11,13 @@ repeated squaring (Moler & Van Loan, SIAM Review 45, 3 (2003), sec. 3).
 With h at most half the positivity bound, R is entrywise non-negative, so
 the populations stay non-negative; the total is conserved to roundoff.
 
-The dense propagator costs O(N^3 log m + n_out N^2) time and O(N^2)
-memory, hence the cap of N_ORACLE_CAP atoms.  The window enters only
-through log m, so a long t_end costs a few more squarings, not more
-steps.
+The outputs come in blocks of B = isqrt(n_out - 1) rows: the first block
+is stepped one interval at a time, and each later block is one matrix
+product of the block before it with P^B, P = R^m, so only two blocks of
+populations are ever held.  That costs O(N^3 (log m + log B) + n_out N^2)
+time, spent in block products, and O(N^2) memory, hence the cap of
+N_ORACLE_CAP atoms.  The window enters only through log m, so a long
+t_end costs a few more squarings, not more steps.
 
 Taking Gamma_eff as an input lets one cascade validate both the bare Dicke
 case and the collectively enhanced rates: within the symmetric subspace
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterDomainError, StepSizeError
-from .params import is_finite
+from .params import is_finite, short_repr
 
 # positivity guard: a single RK4 step must satisfy dt * max rate < 0.1
 MAX_STEP_RATE_PRODUCT = 0.1
@@ -46,7 +49,7 @@ def cascade_rates(n_atoms: int) -> np.ndarray:
 @dataclass(frozen=True)
 class LadderRun:
     t: np.ndarray
-    populations: np.ndarray   # shape (len(t), N+1)
+    final_populations: np.ndarray  # normalised, at t[-1]; shape (N+1,)
     mean_m: np.ndarray
     intensity: np.ndarray     # scaled by gamma*omega0
     n_atoms: int              # the validated inputs, read by the run's summary
@@ -70,19 +73,21 @@ def evolve_ladder(
     once as the interval propagator R^m.
     """
     if not (is_finite(n_atoms) and float(n_atoms).is_integer()):
-        raise ParameterDomainError("n_atoms", f"must be an integer, got {n_atoms!r}")
+        raise ParameterDomainError("n_atoms", f"must be an integer, got {short_repr(n_atoms)}")
     n_atoms = int(n_atoms)
     if n_atoms < 2 or n_atoms > N_ORACLE_CAP:
         raise ParameterDomainError("n_atoms", f"oracle supports 2..{N_ORACLE_CAP}, got {n_atoms}")
     for name, value in (("gamma_eff", gamma_eff), ("omega_ratio", omega_ratio)):
         if not (is_finite(value) and value > 0):
-            raise ParameterDomainError(name, f"must be finite and positive, got {value!r}")
+            raise ParameterDomainError(
+                name, f"must be finite and positive, got {short_repr(value)}"
+            )
     if n_out < 2:
         raise ParameterDomainError("n_out", f"need at least 2 output times, got {n_out!r}")
     if t_end is None:
         t_end = 40.0 * math.log(max(n_atoms, 3)) / (n_atoms * gamma_eff)
     if not (is_finite(t_end) and t_end > 0):
-        raise ParameterDomainError("t_end", f"must be finite and positive, got {t_end!r}")
+        raise ParameterDomainError("t_end", f"must be finite and positive, got {short_repr(t_end)}")
     rates = cascade_rates(n_atoms)
     # plain floats from here: an overflow gives inf for the checks, not a numpy warning
     peak_rate = float(rates.max())
@@ -99,24 +104,39 @@ def evolve_ladder(
             " than a float can count"
         )
     m = max(1, math.ceil(substeps))
+    propagator = interval_propagator(rates, interval, m)
+
+    # rows 0..B-1 step one interval at a time; every later block of B rows is
+    # the block before it times P^B.  Rows carry their roundoff drift, so each
+    # row's reductions are divided by that row's total.
+    b = math.isqrt(n_out - 1)
+    block = np.zeros((b, n_atoms + 1))
+    block[0, 0] = 1.0  # fully excited: all population on M = J
+    for i in range(1, b):
+        block[i] = propagator @ block[i - 1]
+    leap = np.linalg.matrix_power(propagator.T, b)  # (P^B)^T, as rows multiply it
+    weights = np.column_stack((np.ones(n_atoms + 1), n_atoms / 2.0 - np.arange(n_atoms + 1),
+                               rates))
+    sums = np.empty((n_out, 3))  # total, M and g summed over each row
+    for start in range(0, n_out, b):
+        if start:
+            block = block[:n_out - start] @ leap
+        sums[start:start + b] = block @ weights
+    totals = sums[:, 0]
+    drift = np.abs(totals - 1.0) > 1e-10
+    if drift.any():
+        raise StepSizeError(f"population drift {totals[drift.argmax()] - 1.0:.3e} exceeds 1e-10")
+    return LadderRun(t=np.linspace(0.0, t_end, n_out), final_populations=block[-1] / totals[-1],
+                     mean_m=sums[:, 1] / totals,
+                     intensity=omega_ratio * gamma_eff * (sums[:, 2] / totals),
+                     n_atoms=n_atoms, gamma_eff=gamma_eff, omega_ratio=omega_ratio)
+
+
+def interval_propagator(rates: np.ndarray, interval: float, m: int) -> np.ndarray:
+    """R^m: m classical RK4 steps of size interval/m of the cascade, as one matrix."""
     hr = interval / m * rates
     a = np.diag(-hr) + np.diag(hr[:-1], -1)
-    eye = np.eye(n_atoms + 1)
+    eye = np.eye(len(rates))
     r = eye + a @ (eye + a / 2 @ (eye + a / 3 @ (eye + a / 4)))
     np.clip(r, 0.0, None, out=r)  # exactly non-negative at this h; drop roundoff
-    propagator = np.linalg.matrix_power(r, m)
-
-    t_out = np.linspace(0.0, t_end, n_out)
-    pops = np.zeros((n_out, n_atoms + 1))
-    pops[0, 0] = 1.0  # fully excited: all population on M = J
-    for i in range(1, n_out):
-        new = propagator @ pops[i - 1]
-        total = new.sum()
-        if abs(total - 1.0) > 1e-10:
-            raise StepSizeError(f"population drift {total - 1.0:.3e} exceeds 1e-10")
-        pops[i] = new / total
-    m_values = n_atoms / 2.0 - np.arange(n_atoms + 1)
-    mean_m = pops @ m_values
-    intensity = omega_ratio * gamma_eff * (pops @ rates)
-    return LadderRun(t=t_out, populations=pops, mean_m=mean_m, intensity=intensity,
-                     n_atoms=n_atoms, gamma_eff=gamma_eff, omega_ratio=omega_ratio)
+    return np.linalg.matrix_power(r, m)

@@ -32,6 +32,15 @@ def is_finite(x) -> bool:
         return False
 
 
+def short_repr(x) -> str:
+    """repr(x), but an integer beyond float range as 1.00e+400, not its hundreds of digits."""
+    if isinstance(x, int) and not is_finite(x):
+        from decimal import Decimal  # only on this error path: it adds 0.3 MiB to every run
+
+        return f"{Decimal(x):.3g}"
+    return repr(x)
+
+
 class Regime(Enum):
     STRONG = "strong"
     WEAK = "weak"
@@ -63,7 +72,7 @@ class SampleParams:
     def __post_init__(self):
         n = self.n_atoms
         if not (is_finite(n) and float(n).is_integer()):
-            raise ParameterDomainError("n_atoms", f"must be an integer, got {n!r}")
+            raise ParameterDomainError("n_atoms", f"must be an integer, got {short_repr(n)}")
         n = int(n)
         object.__setattr__(self, "n_atoms", n)
         if n < 2:
@@ -71,12 +80,17 @@ class SampleParams:
         if n > N_ATOMS_CAP:
             raise ParameterDomainError("n_atoms", f"capped at {N_ATOMS_CAP:.0e}, got {n}")
         if not (is_finite(self.omega0) and self.omega0 > 0):
-            raise ParameterDomainError("omega0", f"must be finite and positive, got {self.omega0!r}")
+            raise ParameterDomainError(
+                "omega0", f"must be finite and positive, got {short_repr(self.omega0)}"
+            )
         if not (is_finite(self.g) and self.g >= 0):
-            raise ParameterDomainError("g", f"must be finite and non-negative, got {self.g!r}")
+            raise ParameterDomainError(
+                "g", f"must be finite and non-negative, got {short_repr(self.g)}"
+            )
         if self.gamma != 1.0:
             raise ParameterDomainError(
-                "gamma", f"fixed to 1 by convention (times are gamma*t), got {self.gamma!r}"
+                "gamma",
+                f"fixed to 1 by convention (times are gamma*t), got {short_repr(self.gamma)}",
             )
         if self.regime is None:
             object.__setattr__(self, "regime", classify_regime(self))

@@ -1,12 +1,14 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from twins import ladder_rows
 
-from superpulse import ParameterDomainError, cascade_rates, evolve_ladder
+from superpulse import ParameterDomainError, StepSizeError, cascade_rates, evolve_ladder, ladder
 
 
 def test_cascade_rates_endpoints():
@@ -17,9 +19,12 @@ def test_cascade_rates_endpoints():
 
 
 def test_fully_excited_state():
+    # all population starts on M = J, so only the top rung's rate N counts,
+    # and by the default window it has all reached M = -J
     run = evolve_ladder(10, 1.0)
-    assert run.populations[0, 0] == 1.0
     assert run.mean_m[0] == 5.0
+    assert run.intensity[0] == 10.0
+    assert run.final_populations[-1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_interval_propagator_matches_plain_rk4_steps():
@@ -36,6 +41,7 @@ def test_interval_propagator_matches_plain_rk4_steps():
         flux = gamma_eff * g * p
         return np.concatenate(([0.0], flux[:-1])) - flux
 
+    m_values = n / 2.0 - np.arange(n + 1)
     p = np.zeros(n + 1)
     p[0] = 1.0
     for i in range(1, n_out):
@@ -45,7 +51,43 @@ def test_interval_propagator_matches_plain_rk4_steps():
             k3 = flow(p + 0.5 * h * k2)
             k4 = flow(p + h * k3)
             p = p + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        assert np.max(np.abs(run.populations[i] - p)) < 1e-12
+        assert abs(run.mean_m[i] - p @ m_values) < 1e-12 * n
+        assert abs(run.intensity[i] - gamma_eff * (p @ g)) < 1e-12 * gamma_eff * g.max()
+    assert np.max(np.abs(run.final_populations - p)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "n, t_end, n_out",
+    [(n, t_end, 2001) for n in (2, 10, 100) for t_end in (None, 1e6)]
+    + [(n, None, n_out) for n in (2, 10, 100) for n_out in (2, 3, 21)],
+)
+def test_blocks_match_row_by_row_loop(n, t_end, n_out):
+    run = evolve_ladder(n, 1.3, t_end, n_out=n_out, omega_ratio=0.7)
+    pops, mean_m, intensity = ladder_rows(run)
+    for got, want in ((run.mean_m, mean_m), (run.intensity, intensity),
+                      (run.final_populations, pops[-1])):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_population_drift_raises(monkeypatch):
+    # a propagator that gains 1e-9 per interval must trip the 1e-10 drift check
+    exact = ladder.interval_propagator
+    monkeypatch.setattr(ladder, "interval_propagator",
+                        lambda *args: (1.0 + 1e-9) * exact(*args))
+    with pytest.raises(StepSizeError, match=r"^population drift 1\.000e-09 exceeds 1e-10$"):
+        evolve_ladder(10, 1.0)
+
+
+def test_populations_held_in_two_blocks():
+    # 2001 rows of 51 populations would be 816 kB; two blocks of 44 rows are 36 kB
+    evolve_ladder(50, 1.0)  # warm numpy's caches outside the trace
+    tracemalloc.start()
+    try:
+        evolve_ladder(50, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 400_000
 
 
 def test_long_window_costs_no_more_steps():
@@ -72,9 +114,11 @@ def test_two_atom_rate_scaling():
 
 
 def test_probability_conserved_throughout():
+    # evolve_ladder checks every row's total and returns only the last row;
+    # a unit total keeps <M> within [-J, J] throughout
     run = evolve_ladder(10, 1.0, 5.0, n_out=201)
-    totals = run.populations.sum(axis=1)
-    assert np.max(np.abs(totals - 1.0)) < 1e-10
+    assert abs(run.final_populations.sum() - 1.0) < 1e-10
+    assert np.max(np.abs(run.mean_m)) <= 5.0 + 1e-12
 
 
 def test_mean_m_strictly_decreasing_until_absorbed():
@@ -119,16 +163,18 @@ def test_oracle_n_cap():
             evolve_ladder(n, 1.0)
 
 
-@pytest.mark.parametrize("field", ["gamma_eff", "t_end", "omega_ratio"])
+@pytest.mark.parametrize("field", ["gamma_eff", "t_end", "omega_ratio", "n_atoms"])
 def test_integers_beyond_float_range_rejected(field):
-    kwargs = {"gamma_eff": 1.0, field: 10**400}
-    with pytest.raises(ParameterDomainError, match=f"^{field}: "):
-        evolve_ladder(10, **kwargs)
+    kwargs = {"n_atoms": 10, "gamma_eff": 1.0, field: 10**400}
+    with pytest.raises(ParameterDomainError, match=f"^{field}: ") as exc:
+        evolve_ladder(**kwargs)
+    # the value is spelled short, not as its 401 digits
+    assert "1.00e+400" in str(exc.value) and len(str(exc.value)) < 120
 
 
 def test_oracle_integral_float_n_runs_like_the_int():
     a, b = evolve_ladder(10.0, 1.0, n_out=11), evolve_ladder(10, 1.0, n_out=11)
-    for name in ("t", "populations", "mean_m", "intensity"):
+    for name in ("t", "final_populations", "mean_m", "intensity"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
@@ -140,6 +186,5 @@ def test_oracle_integral_float_n_runs_like_the_int():
 def test_conservation_for_random_rates(n, gamma_eff):
     t_end = 4.0 / (n * gamma_eff) * math.log(max(n, 3)) + 1.0 / gamma_eff
     run = evolve_ladder(n, gamma_eff, t_end, n_out=21)
-    totals = run.populations.sum(axis=1)
-    assert np.max(np.abs(totals - 1.0)) < 1e-10
-    assert run.populations.min() >= 0.0
+    assert abs(run.final_populations.sum() - 1.0) < 1e-10
+    assert run.final_populations.min() >= 0.0

@@ -81,12 +81,16 @@ def test_regime_override_is_respected():
         (dict(n_atoms=10**400, omega0=1e6), "n_atoms"),
         (dict(n_atoms=100, omega0=10**400), "omega0"),
         (dict(n_atoms=10_000, omega0=1e-310, g=1.0), "alpha"),
+        (dict(n_atoms=100, omega0=1e6, g=10**400), "g"),
+        (dict(n_atoms=100, omega0=1e6, gamma=10**400), "gamma"),
     ],
 )
 def test_invalid_params_name_the_field(kwargs, field):
     with pytest.raises(ParameterDomainError) as exc:
         SampleParams(**kwargs)
     assert exc.value.field == field
+    # an integer beyond float range is spelled short, not as its 401 digits
+    assert len(str(exc.value)) < 120
 
 
 positive_n = st.integers(min_value=2, max_value=10**9)

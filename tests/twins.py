@@ -6,6 +6,8 @@ numerical drift of |s| is a direct integration-quality diagnostic.
 integrate_weak_ode integrates the weak-coupling equations whose solution
 the closed form claims to be.  Both call rk.solve on the standard output
 grid with the fast-phase step cap, exactly as strong.integrate_strong does.
+ladder_rows recomputes an oracle run one output interval at a time, the
+reference for evolve_ladder's block products.
 """
 from __future__ import annotations
 
@@ -24,6 +26,12 @@ from superpulse.bloch import (
     default_t_end,
     fast_phase_max_step,
     output_grid,
+)
+from superpulse.ladder import (
+    MAX_STEP_RATE_PRODUCT,
+    LadderRun,
+    cascade_rates,
+    interval_propagator,
 )
 from superpulse.params import DerivedParams, Regime, SampleParams, derive_params
 
@@ -140,3 +148,23 @@ def integrate_weak_ode(
     theta, phi = res.grid_values
     np.clip(theta, 0.0, math.pi, out=theta)
     return _trajectory(p, Regime.WEAK, grid, theta, phi, res)
+
+
+def ladder_rows(run: LadderRun) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(populations, mean_m, intensity) of run's outputs, one matrix-vector product each.
+
+    The same interval propagator as evolve_ladder, applied row by row and
+    renormalised after every row; populations has one row per output time.
+    """
+    n_out = len(run.t)
+    rates = cascade_rates(run.n_atoms)
+    interval = float(run.t[-1]) / (n_out - 1) * run.gamma_eff
+    m = max(1, math.ceil(interval * float(rates.max()) / (0.5 * MAX_STEP_RATE_PRODUCT)))
+    propagator = interval_propagator(rates, interval, m)
+    pops = np.zeros((n_out, run.n_atoms + 1))
+    pops[0, 0] = 1.0
+    for i in range(1, n_out):
+        new = propagator @ pops[i - 1]
+        pops[i] = new / new.sum()
+    m_values = run.n_atoms / 2.0 - np.arange(run.n_atoms + 1)
+    return pops, pops @ m_values, run.omega_ratio * run.gamma_eff * (pops @ rates)
