@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterDomainError, SampleBudgetError
-from .params import DerivedParams, Regime, SampleParams, derive_params, is_finite
+from .params import DerivedParams, Regime, SampleParams, derive_params, is_finite, short_repr
 
 # canonical initial azimuth: sin(phi)^2 = 1, maximal initial emission channel
 DEFAULT_PHI0 = math.pi / 2
@@ -29,11 +29,15 @@ class BlochState:
 
     def __post_init__(self):
         if not -1e-12 <= self.theta <= math.pi + 1e-12:
-            raise ParameterDomainError("theta", f"must lie in [0, pi], got {self.theta!r}")
+            raise ParameterDomainError(
+                "theta", f"must lie in [0, pi], got {short_repr(self.theta)}"
+            )
         object.__setattr__(self, "theta", min(max(self.theta, 0.0), math.pi))
         # the strong equations take sin(2 phi), so 2 phi must be finite too
         if not (is_finite(self.phi) and is_finite(2.0 * self.phi)):
-            raise ParameterDomainError("phi", f"must be finite, as must 2*phi; got {self.phi!r}")
+            raise ParameterDomainError(
+                "phi", f"must be finite, as must 2*phi; got {short_repr(self.phi)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -47,16 +51,18 @@ class IntegrationControl:
         for name in ("rtol", "atol"):
             value = getattr(self, name)
             if not (is_finite(value) and value > 0):
-                raise ParameterDomainError(name, f"must be finite and positive, got {value!r}")
+                raise ParameterDomainError(
+                    name, f"must be finite and positive, got {short_repr(value)}"
+                )
         ms = self.max_samples
         if not (is_finite(ms) and float(ms).is_integer()):
-            raise ParameterDomainError("max_samples", f"must be an integer, got {ms!r}")
+            raise ParameterDomainError("max_samples", f"must be an integer, got {short_repr(ms)}")
         object.__setattr__(self, "max_samples", int(ms))
         if self.max_samples < 1:
             raise ParameterDomainError("max_samples", "need at least one sample")
         if self.max_step is not None and not (is_finite(self.max_step) and self.max_step > 0):
             raise ParameterDomainError(
-                "max_step", f"must be finite and positive, got {self.max_step!r}"
+                "max_step", f"must be finite and positive, got {short_repr(self.max_step)}"
             )
 
 

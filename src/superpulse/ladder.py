@@ -82,8 +82,11 @@ def evolve_ladder(
             raise ParameterDomainError(
                 name, f"must be finite and positive, got {short_repr(value)}"
             )
+    if not (is_finite(n_out) and float(n_out).is_integer()):
+        raise ParameterDomainError("n_out", f"must be an integer, got {short_repr(n_out)}")
+    n_out = int(n_out)
     if n_out < 2:
-        raise ParameterDomainError("n_out", f"need at least 2 output times, got {n_out!r}")
+        raise ParameterDomainError("n_out", f"need at least 2 output times, got {n_out}")
     if t_end is None:
         t_end = 40.0 * math.log(max(n_atoms, 3)) / (n_atoms * gamma_eff)
     if not (is_finite(t_end) and t_end > 0):

@@ -1,4 +1,5 @@
 """format_rows against CPython's correctly rounded '%.17g', byte for byte."""
+import tracemalloc
 from decimal import Decimal
 
 import numpy as np
@@ -11,6 +12,7 @@ from superpulse import runner
 from superpulse._g17 import format_rows
 
 SHAPES = st.tuples(st.integers(1, 8), st.integers(1, 5))
+B = runner._CSV_BLOCK_ROWS     # rows per formatted block
 
 
 def expected(block) -> bytes:
@@ -106,6 +108,24 @@ def test_powers_of_ten_and_their_neighbours():
 def test_special_values():
     assert_same([[0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
                   np.inf, -np.inf, np.nan]])
+    # a scalar-path cell in the first or the last column, then ',' or '\n'
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324]
+    assert_same([[v, 1.5, -2.25e-7, 123456.789, v] for v in specials])
+    assert_same([[v, -3.0] for v in specials] + [[-3.0, v] for v in specials])
+    assert_same(np.array(specials).reshape(-1, 1))
+
+
+def test_negative_values_in_every_notation_class():
+    # fixed notation for E = -4 .. 16, scientific with two- and three-digit
+    # exponents, each with 1 to 17 significant digits
+    digits = "98765432123456789"
+    exponents = [*range(-4, 17), -100, -99, -10, -5, 17, 20, 99, 100, 250]
+    values = [-float(f"{digits[0]}.{digits[1:n]}e{e}") for e in exponents for n in range(1, 18)]
+    text = ["%.17g" % v for v in values]
+    assert all("e" not in t for t, v in zip(text, values) if 1e-4 <= -v < 1e17)
+    assert {len(t.split("e")[1]) for t in text if "e" in t} == {3, 4}   # sign and 2 or 3 digits
+    assert_same(np.array(values).reshape(len(exponents), 17))
+    assert_same(-np.array(values).reshape(len(exponents), 17))
 
 
 def test_integers_around_the_digit_count_edges():
@@ -127,3 +147,35 @@ def test_trajectory_csv_is_header_then_rows(tmp_path):
     with pytest.raises(ValueError, match="differ in length"):
         runner.write_trajectory_csv(path, columns[0][:n - 7], columns[1][:n - 6], header="a,b")
     assert path.read_bytes() == b"a\n"
+
+
+@pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 7])
+def test_trajectory_csv_at_block_edges(tmp_path, n):
+    rng = np.random.default_rng(n)
+    columns = [rng.standard_normal(n) * 10.0 ** rng.integers(-20, 21, n) for _ in range(5)]
+    columns[2][::97] = 0.0
+    path = tmp_path / "t.csv"
+    runner.write_trajectory_csv(path, *columns, header="a,b,c,d,e")
+    assert path.read_bytes() == b"a,b,c,d,e\n" + expected(np.column_stack(columns))
+
+
+# the writer's traced peak is one block's temporaries, about 190 bytes per
+# value (0.73 MiB at five columns), plus the chunk being written; it must
+# not grow with the number of rows
+CSV_PEAK_BOUND = 0.9 * 2**20
+
+
+@pytest.mark.parametrize("blocks", [4, 8])
+def test_trajectory_csv_peak_memory_is_one_block(tmp_path, blocks):
+    n = blocks * B + 3
+    rng = np.random.default_rng(blocks)
+    columns = [rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n) for _ in range(5)]
+    path = tmp_path / "t.csv"
+    runner.write_trajectory_csv(path, *columns)    # builds the cached tables
+    tracemalloc.start()
+    try:
+        runner.write_trajectory_csv(path, *columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < CSV_PEAK_BOUND, f"{peak / 2**20:.3f} MiB"

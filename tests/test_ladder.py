@@ -163,7 +163,7 @@ def test_oracle_n_cap():
             evolve_ladder(n, 1.0)
 
 
-@pytest.mark.parametrize("field", ["gamma_eff", "t_end", "omega_ratio", "n_atoms"])
+@pytest.mark.parametrize("field", ["gamma_eff", "t_end", "omega_ratio", "n_atoms", "n_out"])
 def test_integers_beyond_float_range_rejected(field):
     kwargs = {"n_atoms": 10, "gamma_eff": 1.0, field: 10**400}
     with pytest.raises(ParameterDomainError, match=f"^{field}: ") as exc:
@@ -173,9 +173,16 @@ def test_integers_beyond_float_range_rejected(field):
 
 
 def test_oracle_integral_float_n_runs_like_the_int():
-    a, b = evolve_ladder(10.0, 1.0, n_out=11), evolve_ladder(10, 1.0, n_out=11)
-    for name in ("t", "final_populations", "mean_m", "intensity"):
-        assert np.array_equal(getattr(a, name), getattr(b, name))
+    for a, b in [(evolve_ladder(10.0, 1.0, n_out=11), evolve_ladder(10, 1.0, n_out=11)),
+                 (evolve_ladder(10, 1.0, n_out=2001.0), evolve_ladder(10, 1.0, n_out=2001))]:
+        for name in ("t", "final_populations", "mean_m", "intensity"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+@pytest.mark.parametrize("n_out", [2.5, math.nan, math.inf])
+def test_n_out_must_be_an_integer(n_out):
+    with pytest.raises(ParameterDomainError, match="^n_out: must be an integer"):
+        evolve_ladder(10, 1.0, n_out=n_out)
 
 
 @given(

@@ -10,6 +10,7 @@ from superpulse import (
     BlochState,
     IntegrationControl,
     IntegrationFailure,
+    ParameterDomainError,
     SampleBudgetError,
     SampleParams,
     compute_metrics,
@@ -178,6 +179,19 @@ def test_dense_path_peak_memory_is_the_columns_and_a_few_blocks():
 def test_sample_budget_guard():
     with pytest.raises(SampleBudgetError):
         integrate_strong(P_FIG1, ctrl=IntegrationControl(max_samples=1000))
+
+
+@pytest.mark.parametrize(
+    "cls, field",
+    [(IntegrationControl, f) for f in ("rtol", "atol", "max_samples", "max_step")]
+    + [(BlochState, f) for f in ("theta", "phi")],
+)
+def test_integers_beyond_float_range_are_spelled_short(cls, field):
+    kwargs = {"theta": 0.5, "phi": 0.0} if cls is BlochState else {}
+    with pytest.raises(ParameterDomainError, match=f"^{field}: ") as exc:
+        cls(**{**kwargs, field: 10**400})
+    # the value is spelled short, not as its 401 digits
+    assert "1.00e+400" in str(exc.value) and len(str(exc.value)) < 120
 
 
 def test_step_budget_stops_a_stiff_window():
