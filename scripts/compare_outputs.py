@@ -8,7 +8,7 @@ Unpacks REV's src/ with `git archive`, then runs `simulate preset fig1`
 ... `fig8`, `simulate preset fig5 --t-end 9.9e-8` (1.98M samples, just
 under the default sample budget), `simulate run --config` on the seed-1
 perfbench sweep config and `simulate oracle --n 10` and `--n 100`, plus
-five commands the program must refuse (REFUSALS), under REV's package and
+ten commands the program must refuse (REFUSALS), under REV's package and
 under the working tree's, each command in its own subprocess and fresh
 output directory.  Every file written is compared byte for byte.  Exits 1
 when a command's exit code is not the expected one on either side, its
@@ -44,6 +44,11 @@ REFUSALS = [
     (["preset", "fig7", "--t-end", "1e300"], 3),
     (["oracle", "--n", "10", "--t-end", "1e6"], 2),
     (["oracle", "--n", "2001"], 2),
+    (["preset", "fig1", "--rtol", "0"], 2),
+    (["preset", "fig1", "--t-end", "-1"], 2),
+    (["oracle", "--n", "10", "--gamma-eff", "0"], 2),
+    (["oracle", "--n", "10", "--omega-ratio", "nan"], 2),
+    (["oracle", "--n", "10", "--t-end", "-1"], 2),
 ]
 
 

@@ -26,11 +26,8 @@ from .params import (
     DerivedParams,
     Regime,
     SampleParams,
-    characteristic_time,
     classify_regime,
-    delay_time,
     derive_params,
-    peak_intensity,
 )
 from .pulses import (
     PulseMetrics,

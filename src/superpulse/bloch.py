@@ -7,7 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterDomainError, SampleBudgetError
-from .params import DerivedParams, Regime, SampleParams, derive_params, is_finite, short_repr
+from .params import (DerivedParams, Regime, SampleParams, check_finite, check_integer,
+                     derive_params, is_finite, short_repr)
 
 # canonical initial azimuth: sin(phi)^2 = 1, maximal initial emission channel
 DEFAULT_PHI0 = math.pi / 2
@@ -48,22 +49,13 @@ class IntegrationControl:
     max_step: float | None = None  # extra cap on top of the fast-phase resolution cap
 
     def __post_init__(self):
-        for name in ("rtol", "atol"):
-            value = getattr(self, name)
-            if not (is_finite(value) and value > 0):
-                raise ParameterDomainError(
-                    name, f"must be finite and positive, got {short_repr(value)}"
-                )
-        ms = self.max_samples
-        if not (is_finite(ms) and float(ms).is_integer()):
-            raise ParameterDomainError("max_samples", f"must be an integer, got {short_repr(ms)}")
-        object.__setattr__(self, "max_samples", int(ms))
+        check_finite("rtol", self.rtol)
+        check_finite("atol", self.atol)
+        object.__setattr__(self, "max_samples", check_integer("max_samples", self.max_samples))
         if self.max_samples < 1:
             raise ParameterDomainError("max_samples", "need at least one sample")
-        if self.max_step is not None and not (is_finite(self.max_step) and self.max_step > 0):
-            raise ParameterDomainError(
-                "max_step", f"must be finite and positive, got {short_repr(self.max_step)}"
-            )
+        if self.max_step is not None:
+            check_finite("max_step", self.max_step)
 
 
 @dataclass(frozen=True)
@@ -128,7 +120,9 @@ def envelope_timescale(p: SampleParams, kind: Regime) -> float:
         # past a lock of about 1e8 the difference cancels to 0; same value, rearranged
         x2 = (1.0 / lock) ** 2
         sin2_locked = x2 / (2.0 * (1.0 + math.sqrt(1.0 - x2)))
-    return 1.0 / (half_rate * sin2_locked)
+    rate = half_rate * sin2_locked
+    # past a lock of about 1e161 even the rearranged form underflows to 0
+    return 1.0 / rate if rate else math.inf
 
 
 def default_t_end(p: SampleParams, kind: Regime) -> float:
@@ -144,8 +138,7 @@ def output_grid(t_end: float, d: DerivedParams, ctrl: IntegrationControl) -> np.
     the sample budget the grid decimates down to 10 samples per
     tau_1_pred, and past that the request is refused.
     """
-    if not (is_finite(t_end) and t_end >= 0):
-        raise ParameterDomainError("t_end", f"must be finite and non-negative, got {t_end!r}")
+    check_finite("t_end", t_end, positive=False)
     if t_end == 0.0:
         return np.zeros(1)
     spacing = min(d.tau_1_pred / 10.0, d.tau_c_pred / 1000.0)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterDomainError, StepSizeError
-from .params import is_finite, short_repr
+from .params import check_finite, check_integer
 
 # positivity guard: a single RK4 step must satisfy dt * max rate < 0.1
 MAX_STEP_RATE_PRODUCT = 0.1
@@ -72,25 +72,23 @@ def evolve_ladder(
     also comfortably inside the RK4 accuracy range; all m are applied at
     once as the interval propagator R^m.
     """
-    if not (is_finite(n_atoms) and float(n_atoms).is_integer()):
-        raise ParameterDomainError("n_atoms", f"must be an integer, got {short_repr(n_atoms)}")
-    n_atoms = int(n_atoms)
+    n_atoms = check_integer("n_atoms", n_atoms)
     if n_atoms < 2 or n_atoms > N_ORACLE_CAP:
         raise ParameterDomainError("n_atoms", f"oracle supports 2..{N_ORACLE_CAP}, got {n_atoms}")
-    for name, value in (("gamma_eff", gamma_eff), ("omega_ratio", omega_ratio)):
-        if not (is_finite(value) and value > 0):
-            raise ParameterDomainError(
-                name, f"must be finite and positive, got {short_repr(value)}"
-            )
-    if not (is_finite(n_out) and float(n_out).is_integer()):
-        raise ParameterDomainError("n_out", f"must be an integer, got {short_repr(n_out)}")
-    n_out = int(n_out)
+    # the rest runs on the checked floats, so a huge integer overflows as its float does
+    gamma_eff = check_finite("gamma_eff", gamma_eff)
+    omega_ratio = check_finite("omega_ratio", omega_ratio)
+    n_out = check_integer("n_out", n_out)
     if n_out < 2:
         raise ParameterDomainError("n_out", f"need at least 2 output times, got {n_out}")
     if t_end is None:
         t_end = 40.0 * math.log(max(n_atoms, 3)) / (n_atoms * gamma_eff)
-    if not (is_finite(t_end) and t_end > 0):
-        raise ParameterDomainError("t_end", f"must be finite and positive, got {short_repr(t_end)}")
+        if not (t_end > 0 and math.isfinite(t_end)):
+            raise ParameterDomainError(
+                "gamma_eff", f"{gamma_eff!r} {'over' if t_end else 'under'}flows the default"
+                f" window 40 ln N/(N*gamma_eff) to {t_end!r}"
+            )
+    t_end = check_finite("t_end", t_end)
     rates = cascade_rates(n_atoms)
     # plain floats from here: an overflow gives inf for the checks, not a numpy warning
     peak_rate = float(rates.max())

@@ -41,6 +41,22 @@ def short_repr(x) -> str:
     return repr(x)
 
 
+def check_integer(name: str, x) -> int:
+    """x as an int, or a ParameterDomainError naming the field if x is no finite integer."""
+    if not (is_finite(x) and float(x).is_integer()):
+        raise ParameterDomainError(name, f"must be an integer, got {short_repr(x)}")
+    return int(x)
+
+
+def check_finite(name: str, x, positive: bool = True) -> float:
+    """x as a float, or a ParameterDomainError naming the field unless x is finite and > 0
+    (>= 0 when not positive)."""
+    if not (is_finite(x) and (x > 0 if positive else x >= 0)):
+        bound = "positive" if positive else "non-negative"
+        raise ParameterDomainError(name, f"must be finite and {bound}, got {short_repr(x)}")
+    return float(x)
+
+
 class Regime(Enum):
     STRONG = "strong"
     WEAK = "weak"
@@ -70,23 +86,15 @@ class SampleParams:
     regime: Regime | None = None
 
     def __post_init__(self):
-        n = self.n_atoms
-        if not (is_finite(n) and float(n).is_integer()):
-            raise ParameterDomainError("n_atoms", f"must be an integer, got {short_repr(n)}")
-        n = int(n)
+        n = check_integer("n_atoms", self.n_atoms)
         object.__setattr__(self, "n_atoms", n)
         if n < 2:
             raise ParameterDomainError("n_atoms", f"need at least 2 atoms, got {n}")
         if n > N_ATOMS_CAP:
             raise ParameterDomainError("n_atoms", f"capped at {N_ATOMS_CAP:.0e}, got {n}")
-        if not (is_finite(self.omega0) and self.omega0 > 0):
-            raise ParameterDomainError(
-                "omega0", f"must be finite and positive, got {short_repr(self.omega0)}"
-            )
-        if not (is_finite(self.g) and self.g >= 0):
-            raise ParameterDomainError(
-                "g", f"must be finite and non-negative, got {short_repr(self.g)}"
-            )
+        # the checks' floats are dropped: an int omega0 or g is kept, and recorded, as given
+        check_finite("omega0", self.omega0)
+        check_finite("g", self.g, positive=False)
         if self.gamma != 1.0:
             raise ParameterDomainError(
                 "gamma",
@@ -172,18 +180,3 @@ def derive_params(p: SampleParams) -> DerivedParams:
         peak_intensity_pred=(enh * n) ** 2 / 4.0,
         delay_time_pred=tau_c * math.log(n),
     )
-
-
-def characteristic_time(p: SampleParams) -> float:
-    """Closed-form envelope time tau_c = 2/((1+alpha) N gamma), in 1/gamma."""
-    return derive_params(p).tau_c_closed
-
-
-def delay_time(p: SampleParams) -> float:
-    """Closed-form correlation build-up delay t0 = tau_c ln N, in 1/gamma."""
-    return derive_params(p).delay_time_closed
-
-
-def peak_intensity(p: SampleParams) -> float:
-    """Closed-form weak-coupling peak intensity ((1+alpha) N)^2/4, reached at t0."""
-    return derive_params(p).peak_intensity_pred

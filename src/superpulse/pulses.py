@@ -205,17 +205,16 @@ def compute_metrics(t, intensity, d: DerivedParams) -> PulseMetrics:
     at_half = [p for p in pulses if p.height >= 0.5 * env_max]
     count = len(at_half)
     tau_1_meas = float(np.median([p.fwhm for p in at_half]))
-    peak = max(p.height for p in pulses)
 
     ratios = {
         "tau_c": tau_c_meas / d.tau_c_pred,
         "tau_1": tau_1_meas / d.tau_1_pred,
         "pulse_count": count / d.pulse_count_pred,
-        "peak_intensity": peak / d.peak_intensity_pred,
+        "peak_intensity": env_max / d.peak_intensity_pred,
         "delay_time": delay / d.delay_time_pred,
     }
     return PulseMetrics(
-        peak_intensity_scaled=peak,
+        peak_intensity_scaled=env_max,
         delay_time=delay,
         envelope_fwhm=env_fwhm,
         tau_c_measured=tau_c_meas,

@@ -26,7 +26,7 @@ from .bloch import (
     default_t_end,
 )
 from ._g17 import format_rows
-from .errors import ConfigError, EmptyAnalysisError, ParameterDomainError
+from .errors import ConfigError, EmptyAnalysisError, ParameterDomainError, SampleBudgetError
 from .ladder import LadderRun
 from .observables import emission_arrays
 from .params import DerivedParams, Regime, SampleParams, derive_params
@@ -89,6 +89,8 @@ class RunConfig:
             self.init = default_initial_state(self.params)
         if self.t_end is None:
             self.t_end = default_t_end(self.params, self.params.regime)
+            if not math.isfinite(self.t_end):  # a phase lock past about 1e161
+                raise SampleBudgetError(self.t_end, self.integration.max_samples)
 
 
 @dataclass(frozen=True)

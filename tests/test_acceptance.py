@@ -17,14 +17,11 @@ from superpulse import (
     IntegrationControl,
     Regime,
     SampleParams,
-    characteristic_time,
     compute_metrics,
-    delay_time,
     derive_params,
     emission_arrays,
     evolve_ladder,
     integrate_strong,
-    peak_intensity,
     sample_weak_solution,
     weak_intensity,
 )
@@ -77,8 +74,9 @@ def test_criterion_1_dicke_recovery():
     print("\ncriterion 1 [Dicke recovery, fig7 preset]")
     pl = pipeline("fig7")
     p = pl.params
-    closed_peak = weak_intensity(p, delay_time(p))
-    tau_c = characteristic_time(p)
+    d = derive_params(p)
+    closed_peak = weak_intensity(p, d.delay_time_closed)
+    tau_c = d.tau_c_closed
     fwhm_expected = SECH2_FWHM_FACTOR * tau_c
     checks = [
         (
@@ -101,8 +99,9 @@ def test_criterion_2_weak_coupling_enhancement():
     start = time.perf_counter()
     # strong-regime parameters deliberately run through the weak pipeline
     p = SampleParams(10_000, 1e6, 1e2, regime=Regime.WEAK)
-    closed_peak = weak_intensity(p, delay_time(p))
-    tau_c = characteristic_time(p)
+    d = derive_params(p)
+    closed_peak = weak_intensity(p, d.delay_time_closed)
+    tau_c = d.tau_c_closed
     traj = sample_weak_solution(p)
     t, energy, intensity = emission_arrays(traj)
     sampled_peak = intensity.max()
@@ -312,15 +311,14 @@ def test_criterion_7_oracle_validation():
     start = time.perf_counter()
     n = 10
     p = SampleParams(n, 1e6, 0.0)
-    gamma_eff = derive_params(p).gamma_eff  # identical Gamma on both sides
-    run = evolve_ladder(n, gamma_eff, 8.0, n_out=4001)
+    d = derive_params(p)
+    run = evolve_ladder(n, d.gamma_eff, 8.0, n_out=4001)  # identical Gamma on both sides
     elapsed = time.perf_counter() - start
 
     peak_time = float(run.t[int(np.argmax(run.intensity))])
     peak_rate = float(run.intensity.max())
     integral = float(np.trapezoid(run.intensity, run.t))
-    t0 = delay_time(p)
-    mf_peak = peak_intensity(p)
+    t0, mf_peak = d.delay_time_closed, d.peak_intensity_pred
     omega_n = 1.0 * n  # (Omega/omega0) * N with alpha = 0
     checks = [
         (

@@ -172,9 +172,20 @@ def test_integers_beyond_float_range_rejected(field):
     assert "1.00e+400" in str(exc.value) and len(str(exc.value)) < 120
 
 
+def test_huge_integer_overflows_as_its_float():
+    # the scaled-intensity check multiplies floats, not unbounded ints
+    messages = set()
+    for gamma_eff, omega_ratio in [(10**300, 10**10), (1e300, 1e10)]:
+        with pytest.raises(ParameterDomainError, match="^omega_ratio: .* overflows") as exc:
+            evolve_ladder(10, gamma_eff, omega_ratio=omega_ratio)
+        messages.add(str(exc.value))
+    assert len(messages) == 1
+
+
 def test_oracle_integral_float_n_runs_like_the_int():
     for a, b in [(evolve_ladder(10.0, 1.0, n_out=11), evolve_ladder(10, 1.0, n_out=11)),
-                 (evolve_ladder(10, 1.0, n_out=2001.0), evolve_ladder(10, 1.0, n_out=2001))]:
+                 (evolve_ladder(10, 1.0, n_out=2001.0), evolve_ladder(10, 1.0, n_out=2001)),
+                 (evolve_ladder(10, 1.0, t_end=10**300), evolve_ladder(10, 1.0, t_end=1e300))]:
         for name in ("t", "final_populations", "mean_m", "intensity"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 

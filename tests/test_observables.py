@@ -10,7 +10,6 @@ from superpulse import (
     IntegratorStats,
     Regime,
     SampleParams,
-    delay_time,
     derive_params,
     emission_arrays,
     find_superpulses,
@@ -94,7 +93,7 @@ def test_weak_trajectory_emission_single_sech_pulse():
     traj = sample_weak_solution(P_DICKE)
     t, energy, intensity = emission_arrays(traj)
     ipk = int(np.argmax(intensity))
-    t0 = delay_time(P_DICKE)
+    t0 = derive_params(P_DICKE).delay_time_closed
     dt = t[1] - t[0]
     assert abs(t[ipk] - t0) <= dt
     assert intensity[ipk] == pytest.approx(2.5e7, rel=1e-6)

@@ -9,9 +9,7 @@ from superpulse import (
     EmptyAnalysisError,
     ParameterDomainError,
     SampleParams,
-    characteristic_time,
     compute_metrics,
-    delay_time,
     derive_params,
     emission_arrays,
     envelope,
@@ -197,9 +195,9 @@ def test_weak_run_delay_and_tau_c_recovered():
     p = SampleParams(10_000, 1e6, 0.0)
     traj = sample_weak_solution(p)
     t, energy, intensity = emission_arrays(traj)
-    metrics = compute_metrics(t, intensity, derive_params(p))
-    t0 = delay_time(p)
-    tau = characteristic_time(p)
+    d = derive_params(p)
+    metrics = compute_metrics(t, intensity, d)
+    t0, tau = d.delay_time_closed, d.tau_c_closed
     grid_h = t[1] - t[0]
     assert abs(metrics.delay_time - t0) <= grid_h
     assert 0.99 <= metrics.tau_c_measured / tau <= 1.01

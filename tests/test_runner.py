@@ -2,6 +2,8 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -522,6 +524,9 @@ def test_failed_csv_block_leaves_no_file(tmp_path, monkeypatch):
         (["--n", "10", "--omega-ratio", "5e306"], "t_end"),
         # outputs further apart than the top rung's lifetime miss the pulse
         (["--n", "10", "--t-end", "1e6"], "t_end"),
+        # an unset t_end whose default window 40 ln N/(N gamma_eff) leaves float range
+        (["--n", "2", "--gamma-eff", "5e-324"], "gamma_eff"),
+        (["--n", "2", "--gamma-eff", "1e308"], "gamma_eff"),
     ],
 )
 def test_cli_oracle_out_of_domain_numbers_exit_code(tmp_path, capsys, argv, field):
@@ -539,13 +544,23 @@ def test_cli_budget_exit_code(tmp_path, capsys):
 
 def test_cli_deep_phase_lock_exit_code(tmp_path, capsys):
     # a lock (N-1)/(4 omega0) of 2.5e9 cancels the locked sin^2 to 0 in its
-    # usual form; the window then asks for far more samples than the budget
-    doc = {"params": {"n_atoms": 1_000_000_000, "omega0": 0.1}, "regime": "strong"}
-    path = write_config(tmp_path, doc)
-    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("integration error: output grid needs 1286163290563 samples")
-    assert "Traceback" not in err
+    # usual form; the window then asks for far more samples than the budget.
+    # A lock of 2.25e300 underflows even the rearranged form: the window is inf
+    deepest = {"params": {"n_atoms": 10, "omega0": 1e-300}}
+    cases = [({"params": {"n_atoms": 1_000_000_000, "omega0": 0.1}, "regime": "strong"},
+              "1286163290563"),
+             (deepest, "inf")]
+    for doc, samples in cases:
+        path = write_config(tmp_path, doc)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"integration error: output grid needs {samples} samples")
+        assert "Traceback" not in err
+    # an infinite window given explicitly stays a validation error
+    path = write_config(tmp_path, {**deepest, "t_end": math.inf})
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("validation error: t_end: must be finite")
+    assert not (tmp_path / "out").exists()
 
 
 # default_t_end of every preset, pinned bit for bit: the deep-lock form of
@@ -592,6 +607,20 @@ def test_cli_oracle(tmp_path, capsys):
     assert summary["quanta_emitted"] == pytest.approx(10.0, rel=1e-6)
     csv = (tmp_path / "oracle_n10_trajectory.csv").read_text().splitlines()
     assert csv[0] == "gamma_t,mean_m,intensity_over_gamma_omega0"
+
+
+def test_runs_do_not_import_decimal(tmp_path):
+    # params.short_repr imports decimal only to refuse a huge integer; on the
+    # run path it would add about 0.3 MiB to every run's peak memory
+    out = str(tmp_path)
+    script = ("import sys\nfrom superpulse.cli import main\n"
+              f"assert main(['oracle', '--n', '10', '--out', {out!r}]) == 0\n"
+              f"assert main(['preset', 'fig2', '--out', {out!r}]) == 0\n"
+              "print('decimal' in sys.modules)\n")
+    src = str(Path(runner.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_oracle_summary_describes_its_run(tmp_path):

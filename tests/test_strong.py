@@ -184,10 +184,12 @@ def test_sample_budget_guard():
 @pytest.mark.parametrize(
     "cls, field",
     [(IntegrationControl, f) for f in ("rtol", "atol", "max_samples", "max_step")]
-    + [(BlochState, f) for f in ("theta", "phi")],
+    + [(BlochState, f) for f in ("theta", "phi")]
+    + [(output_grid, "t_end")],
 )
 def test_integers_beyond_float_range_are_spelled_short(cls, field):
-    kwargs = {"theta": 0.5, "phi": 0.0} if cls is BlochState else {}
+    kwargs = {BlochState: {"theta": 0.5, "phi": 0.0},
+              output_grid: {"d": D_FIG1, "ctrl": IntegrationControl()}}.get(cls, {})
     with pytest.raises(ParameterDomainError, match=f"^{field}: ") as exc:
         cls(**{**kwargs, field: 10**400})
     # the value is spelled short, not as its 401 digits

@@ -9,9 +9,7 @@ from superpulse import (
     BlochState,
     IntegrationControl,
     SampleParams,
-    characteristic_time,
-    delay_time,
-    peak_intensity,
+    derive_params,
     weak_angles,
     weak_energy,
     weak_intensity,
@@ -20,21 +18,23 @@ from twins import integrate_weak_ode
 
 P_DICKE = SampleParams(10_000, 1e6, 0.0)          # alpha = 0
 P_DENSE = SampleParams(10_000, 1e6, 1e2)          # alpha = 2
+D_DICKE = derive_params(P_DICKE)
+D_DENSE = derive_params(P_DENSE)
 
 SECH_LN_N = 1.9999999800000002e-4  # sech(ln 1e4) = 2/(N + 1/N), mpmath 40 digits
 
 
 def test_characteristic_and_delay_times_dicke():
-    assert characteristic_time(P_DICKE) == pytest.approx(2e-4, rel=1e-15)
-    assert delay_time(P_DICKE) == pytest.approx(2e-4 * math.log(1e4), rel=1e-15)
+    assert D_DICKE.tau_c_closed == pytest.approx(2e-4, rel=1e-15)
+    assert D_DICKE.delay_time_closed == pytest.approx(2e-4 * math.log(1e4), rel=1e-15)
 
 
 def test_characteristic_time_shrinks_with_alpha():
-    assert characteristic_time(P_DENSE) == pytest.approx(2.0 / 3e4, rel=1e-15)
+    assert D_DENSE.tau_c_closed == pytest.approx(2.0 / 3e4, rel=1e-15)
 
 
 def test_solution_crosses_equator_at_delay_time():
-    theta, _ = weak_angles(P_DICKE, delay_time(P_DICKE))
+    theta, _ = weak_angles(P_DICKE, D_DICKE.delay_time_closed)
     assert theta == math.pi / 2
 
 
@@ -45,7 +45,7 @@ def test_solution_tipping_angle_at_time_zero():
 
 
 def test_solution_branch_past_delay_time():
-    t0 = delay_time(P_DICKE)
+    t0 = D_DICKE.delay_time_closed
     theta, _ = weak_angles(P_DICKE, 2.0 * t0)
     assert theta > math.pi / 2
 
@@ -57,12 +57,12 @@ def test_phase_advances_at_effective_frequency():
 
 
 def test_energy_zero_at_delay_time():
-    assert weak_energy(P_DICKE, delay_time(P_DICKE)) == 0.0
+    assert weak_energy(P_DICKE, D_DICKE.delay_time_closed) == 0.0
 
 
 def test_energy_long_time_limit():
-    t0 = delay_time(P_DENSE)
-    tau = characteristic_time(P_DENSE)
+    t0 = D_DENSE.delay_time_closed
+    tau = D_DENSE.tau_c_closed
     assert weak_energy(P_DENSE, t0 + 60 * tau) == pytest.approx(-1.5, rel=1e-12)
 
 
@@ -72,19 +72,19 @@ def test_energy_initially_half_tanh_log_n():
 
 
 def test_intensity_peak_dicke():
-    assert weak_intensity(P_DICKE, delay_time(P_DICKE)) == pytest.approx(2.5e7, rel=1e-12)
-    assert peak_intensity(P_DICKE) == 2.5e7
+    assert weak_intensity(P_DICKE, D_DICKE.delay_time_closed) == pytest.approx(2.5e7, rel=1e-12)
+    assert D_DICKE.peak_intensity_pred == 2.5e7
 
 
 def test_intensity_peak_enhanced():
-    assert weak_intensity(P_DENSE, delay_time(P_DENSE)) == pytest.approx(2.25e8, rel=1e-12)
+    assert weak_intensity(P_DENSE, D_DENSE.delay_time_closed) == pytest.approx(2.25e8, rel=1e-12)
 
 
 def test_intensity_half_maximum_offset():
-    t0 = delay_time(P_DICKE)
-    tau = characteristic_time(P_DICKE)
+    t0 = D_DICKE.delay_time_closed
+    tau = D_DICKE.tau_c_closed
     off = tau * math.acosh(math.sqrt(2.0))
-    half = peak_intensity(P_DICKE) / 2.0
+    half = D_DICKE.peak_intensity_pred / 2.0
     assert weak_intensity(P_DICKE, t0 + off) == pytest.approx(half, rel=1e-12)
     assert weak_intensity(P_DICKE, t0 - off) == pytest.approx(half, rel=1e-12)
 
@@ -92,7 +92,7 @@ def test_intensity_half_maximum_offset():
 def test_intensity_time_symmetric_exact_offsets():
     # an offset for which t0 +/- delta stays exactly representable gives
     # exact equality (the implementation depends on |t - t0| only)
-    t0 = delay_time(P_DENSE)
+    t0 = D_DENSE.delay_time_closed
     assert weak_intensity(P_DENSE, 2.0 * t0) == weak_intensity(P_DENSE, 0.0)
 
 
@@ -100,7 +100,7 @@ def test_intensity_time_symmetric_exact_offsets():
 def test_intensity_time_symmetric_about_delay(delta):
     # general offsets pick up one rounding in forming t0 +/- delta, so
     # equality is asserted at the ulp level
-    t0 = delay_time(P_DENSE)
+    t0 = D_DENSE.delay_time_closed
     a = weak_intensity(P_DENSE, t0 + delta)
     b = weak_intensity(P_DENSE, t0 - delta)
     assert a == pytest.approx(b, rel=1e-12)
@@ -110,17 +110,18 @@ def test_intensity_time_symmetric_about_delay(delta):
 def test_alpha_monotonically_sharpens_the_pulse(g1, dg):
     p1 = SampleParams(10_000, 1e6, g1)
     p2 = SampleParams(10_000, 1e6, g1 + dg)
-    assert characteristic_time(p2) < characteristic_time(p1)
-    assert delay_time(p2) < delay_time(p1)
-    assert peak_intensity(p2) > peak_intensity(p1)
+    d1, d2 = derive_params(p1), derive_params(p2)
+    assert d2.tau_c_closed < d1.tau_c_closed
+    assert d2.delay_time_closed < d1.delay_time_closed
+    assert d2.peak_intensity_pred > d1.peak_intensity_pred
 
 
 def test_energy_intensity_identity_finite_differences():
     # I/(gamma*omega0) = -N d(eps/omega0)/d(gamma t), checked within 1e-6
     # around the pulse where both sides are appreciable
     p = P_DENSE
-    t0 = delay_time(p)
-    tau = characteristic_time(p)
+    d = derive_params(p)
+    t0, tau = d.delay_time_closed, d.tau_c_closed
     h = tau / 2000.0
     t = np.linspace(t0 - 3 * tau, t0 + 3 * tau, 1201)
     lhs = weak_intensity(p, t)
@@ -135,7 +136,7 @@ def test_ode_matches_rate_consistent_closed_form():
     # same rate the only difference left is integrator error
     p = P_DICKE
     n = p.n_atoms
-    t0 = delay_time(p)
+    t0 = derive_params(p).delay_time_closed
     traj = integrate_weak_ode(p, t_end=2.0 * t0)
     rate = (n - 1) * 1.0 / 2.0  # (N-1) * gamma_eff / 2 at alpha = 0
     u0 = math.log(math.tan(traj.theta[0] / 2.0))
@@ -148,8 +149,8 @@ def test_ode_matches_standard_closed_form_to_order_one_over_n():
     # degrades like Gamma*t/2 ~ ln(N)/N over the window; assert within
     # that envelope
     p = P_DICKE
-    t0 = delay_time(p)
-    tau = characteristic_time(p)
+    d = derive_params(p)
+    t0, tau = d.delay_time_closed, d.tau_c_closed
     traj = integrate_weak_ode(p, t_end=2.0 * t0)
     expected = 1.0 / np.cosh((traj.t - t0) / tau)
     rel = np.abs(np.sin(traj.theta) - expected) / expected
