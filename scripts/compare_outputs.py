@@ -7,9 +7,12 @@ Usage:
 Unpacks REV's src/ with `git archive`, then runs `simulate preset fig1`
 ... `fig8`, `simulate preset fig5 --t-end 9.9e-8` (1.98M samples, just
 under the default sample budget), `simulate run --config` on the seed-1
-perfbench sweep config and `simulate oracle --n 10` and `--n 100`, plus
-ten commands the program must refuse (REFUSALS), under REV's package and
-under the working tree's, each command in its own subprocess and fresh
+perfbench sweep config, the same config with `--t-end 3e-3 --phi0 0.25`,
+`simulate preset fig2 --t-end 2e-4 --theta0 0.01 --phi0 0.3 --rtol 1e-8`,
+`simulate preset fig7 --t-end 1e-3 --phi0 0.5` and `simulate oracle --n
+10` and `--n 100`,
+plus ten commands the program must refuse (REFUSALS), under REV's package
+and under the working tree's, each command in its own subprocess and fresh
 output directory.  Every file written is compared byte for byte.  Exits 1
 when a command's exit code is not the expected one on either side, its
 stdout or stderr differs, a refused command writes a file, or any file
@@ -101,7 +104,15 @@ def main(rev: str) -> int:
         commands = [["preset", f"fig{i}"] for i in range(1, 9)]
         # many dense-fill blocks and a partial last one
         commands.append(["preset", "fig5", "--t-end", "9.9e-8"])
-        commands.append(list(make_inputs("sweep", 1, tmp).argv))
+        sweep = list(make_inputs("sweep", 1, tmp).argv)
+        commands.append(sweep)
+        # run flags that replace the values of a config file, a strong and a weak preset
+        commands += [
+            sweep + ["--t-end", "3e-3", "--phi0", "0.25"],
+            ["preset", "fig2", "--t-end", "2e-4", "--theta0", "0.01", "--phi0", "0.3",
+             "--rtol", "1e-8"],
+            ["preset", "fig7", "--t-end", "1e-3", "--phi0", "0.5"],
+        ]
         commands += [["oracle", "--n", "10"], ["oracle", "--n", "100"]]
         commands = [(argv, 0) for argv in commands] + REFUSALS
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -73,24 +73,17 @@ PRESETS: dict[str, SampleParams] = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    params: SampleParams
-    label: str = "run"
-    init: BlochState | None = None
-    t_end: float | None = None
-    integration: IntegrationControl = field(default_factory=IntegrationControl)
-    out_dir: Path = Path(".")
-    formats: tuple[str, ...] = FORMATS
+    """One run's inputs with every default resolved; parse_config builds it."""
 
-    def __post_init__(self):
-        # an unset init or t_end takes the default for params, once
-        if self.init is None:
-            self.init = default_initial_state(self.params)
-        if self.t_end is None:
-            self.t_end = default_t_end(self.params, self.params.regime)
-            if not math.isfinite(self.t_end):  # a phase lock past about 1e161
-                raise SampleBudgetError(self.t_end, self.integration.max_samples)
+    params: SampleParams
+    label: str
+    init: BlochState
+    t_end: float
+    integration: IntegrationControl
+    out_dir: Path
+    formats: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -103,37 +96,6 @@ class RunResult:
     @property
     def written(self) -> list[Path]:
         return [p for p in (self.trajectory_path, self.metrics_path) if p is not None]
-
-
-def _apply_overrides(
-    cfg: RunConfig,
-    out_dir: str | Path | None = None,
-    rtol: float | None = None,
-    t_end: float | None = None,
-    theta0: float | None = None,
-    phi0: float | None = None,
-) -> RunConfig:
-    """cfg with the given fields replaced; an unset angle keeps its value.
-
-    A weak-like run evaluates the closed form, which starts at the default
-    angle and takes only phi0, so a theta0 there is rejected, not ignored.
-    """
-    if theta0 is not None and cfg.params.regime.is_weak_like():
-        raise ParameterDomainError(
-            "theta0", f"a {cfg.params.regime.value} run starts on the closed form at the"
-            f" default angle; got an override of {theta0!r}"
-        )
-    changes = {}
-    if out_dir is not None:
-        changes["out_dir"] = Path(out_dir)
-    if rtol is not None:
-        changes["integration"] = replace(cfg.integration, rtol=rtol)
-    if t_end is not None:
-        changes["t_end"] = t_end
-    angles = {k: v for k, v in (("theta", theta0), ("phi", phi0)) if v is not None}
-    if angles:
-        changes["init"] = replace(cfg.init, **angles)
-    return replace(cfg, **changes)
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +130,22 @@ def _number(v, name: str):
     return v
 
 
-def parse_config(doc: dict, base_dir: Path = Path(".")) -> list[RunConfig]:
-    """Validate a configuration document; returns one RunConfig per sweep value."""
+def parse_config(
+    doc: dict,
+    base_dir: Path = Path("."),
+    out_dir: str | Path | None = None,
+    rtol: float | None = None,
+    t_end: float | None = None,
+    theta0: float | None = None,
+    phi0: float | None = None,
+) -> list[RunConfig]:
+    """Validate a configuration document; returns one resolved RunConfig per sweep value.
+
+    The keywords are the CLI's run flags.  Each replaces the document's value
+    once that value has been checked, and a default fills only what neither
+    sets: the output directory is base_dir, the window default_t_end and the
+    initial state default_initial_state.
+    """
     if not isinstance(doc, dict):
         raise ConfigError("configuration root must be a JSON object")
     _require_keys(
@@ -192,21 +168,24 @@ def parse_config(doc: dict, base_dir: Path = Path(".")) -> list[RunConfig]:
         regime = _REGIME_NAMES[name]
 
     idoc = _section(doc, "init", {"theta0", "phi0"})
-    init = {key: _number(v, f"init.{key}") for key, v in idoc.items()}
+    idoc = {key: _number(v, f"init.{key}") for key, v in idoc.items()}
 
     controls = ("rtol", "atol", "max_samples", "max_step")
     cdoc = _section(doc, "integration", set(controls))
     integration = IntegrationControl(
         **{key: _number(cdoc[key], f"integration.{key}") for key in controls if key in cdoc}
     )
+    if rtol is not None:
+        integration = replace(integration, rtol=rtol)
 
-    out_dir = base_dir
     formats = FORMATS
     odoc = _section(doc, "outputs", {"directory", "formats"})
-    if "directory" in odoc:
-        if not isinstance(odoc["directory"], str):
-            raise ConfigError("outputs.directory must be a string")
-        out_dir = base_dir / odoc["directory"]
+    directory = odoc.get("directory", "")
+    if not isinstance(directory, str):
+        raise ConfigError("outputs.directory must be a string")
+    if "\0" in directory:
+        raise ConfigError(f"must not contain NUL, got {directory!r}", field="outputs.directory")
+    out_dir = base_dir / directory if out_dir is None else Path(out_dir)
     if "formats" in odoc:
         fmts = odoc["formats"]
         if not isinstance(fmts, list) or not fmts or any(f not in FORMATS for f in fmts):
@@ -215,7 +194,8 @@ def parse_config(doc: dict, base_dir: Path = Path(".")) -> list[RunConfig]:
             )
         formats = tuple(f for f in FORMATS if f in fmts)
 
-    t_end = _number(doc["t_end"], "config.t_end") if "t_end" in doc else None
+    doc_t_end = _number(doc["t_end"], "config.t_end") if "t_end" in doc else None
+    t_end = doc_t_end if t_end is None else t_end
     base_label = doc.get("label", "run")
     if not isinstance(base_label, str):
         raise ConfigError("'label' must be a string")
@@ -250,28 +230,49 @@ def parse_config(doc: dict, base_dir: Path = Path(".")) -> list[RunConfig]:
                     field="sweep.values",
                 )
             swept_value[label] = v
-        cfg = RunConfig(
-            params=params,
-            label=label,
-            t_end=t_end,
-            integration=integration,
-            out_dir=out_dir,
-            formats=formats,
-        )
-        configs.append(_apply_overrides(cfg, **init))
+        init = default_initial_state(params)
+        # the file's angles are checked, then the flags' replace them
+        for theta, phi in ((idoc.get("theta0"), idoc.get("phi0")), (theta0, phi0)):
+            # a weak-like run evaluates the closed form, which starts at the
+            # default angle and takes only phi0: a theta0 is rejected, not ignored
+            if theta is not None and params.regime.is_weak_like():
+                raise ParameterDomainError(
+                    "theta0", f"a {params.regime.value} run starts on the closed form at the"
+                    f" default angle; got an override of {theta!r}"
+                )
+            init = BlochState(init.theta if theta is None else theta,
+                              init.phi if phi is None else phi)
+        run_t_end = t_end
+        if run_t_end is None:  # neither the file nor a flag sets the window
+            run_t_end = default_t_end(params, params.regime)
+            if not math.isfinite(run_t_end):  # a phase lock past about 1e161
+                raise SampleBudgetError(run_t_end, integration.max_samples)
+        configs.append(RunConfig(params, label, init, run_t_end, integration, out_dir, formats))
     return configs
 
 
-def load_config(path: str | Path) -> list[RunConfig]:
+def _unique_keys(pairs: list[tuple]) -> dict:
+    """A JSON object's members as a dict; a key given twice is refused, not overwritten."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
+def load_config(path: str | Path, **overrides) -> list[RunConfig]:
+    """parse_config of the JSON file at path, whose outputs.directory is relative to it."""
     path = Path(path)
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    except ValueError as exc:  # undecodable bytes, or an integer literal too long to read
+    # undecodable bytes, a too-long integer literal, a repeated key or too deep a nesting
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    return parse_config(doc, base_dir=path.parent)
+    return parse_config(doc, path.parent, **overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -407,14 +408,16 @@ def execute(cfg: RunConfig) -> RunResult:
 
 
 def run_preset(name: str, **overrides) -> RunResult:
-    """Execute one of the figure presets; overrides are _apply_overrides' keywords."""
+    """Execute one of the figure presets; overrides are parse_config's flag keywords."""
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    return execute(_apply_overrides(RunConfig(params=PRESETS[name], label=name), **overrides))
+    params = asdict(PRESETS[name])
+    doc = {"label": name, "regime": params.pop("regime").value, "params": params}
+    # base_dir is passed, so it cannot arrive among the overrides
+    return execute(parse_config(doc, Path("."), **overrides)[0])
 
 
 def run_config(path: str | Path, **overrides) -> list[RunResult]:
     """Execute every run described by a configuration file, with the same overrides."""
-    # every override is checked before the first run writes a file
-    configs = [_apply_overrides(cfg, **overrides) for cfg in load_config(path)]
-    return [execute(cfg) for cfg in configs]
+    # every run is resolved and checked before the first one writes a file
+    return [execute(cfg) for cfg in load_config(path, **overrides)]

@@ -5,6 +5,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from superpulse import (
     Regime,
     SampleBudgetError,
     compute_metrics,
+    default_initial_state,
     default_t_end,
     derive_params,
     evolve_ladder,
@@ -211,6 +213,33 @@ def fast_config_with(changes: dict) -> dict:
     return doc
 
 
+def test_flags_reach_every_sweep_point():
+    doc = dict(FAST_CONFIG, t_end=0.5, sweep={"param": "g", "values": [0.0, 10.0, 100.0]})
+    configs = parse_config(doc, t_end=2e-3, phi0=0.25)
+    assert [(c.t_end, c.init.phi) for c in configs] == [(2e-3, 0.25)] * 3
+    # a resolved config is a record, not something to patch afterwards
+    with pytest.raises(FrozenInstanceError):
+        configs[0].t_end = 1.0
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"params": {"n_atoms": 500, "omega0": 1e4}, "t_end": 0.5, "t_end": 0.001}', "t_end"),
+        ('{"params": {"n_atoms": 500, "omega0": 1e4, "g": 10.0, "g": 0.0}}', "g"),
+        ('{"params": {"n_atoms": 500, "omega0": 1e4}, "sweep": {"param": "g",'
+         ' "values": [{"a": 1, "a": 2}]}}', "a"),
+    ],
+    ids=["top", "params", "inside-a-list"],
+)
+def test_duplicate_keys_rejected(tmp_path, text, key):
+    # json keeps the last of a repeated key; the run would quietly drop the first
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=f"duplicate key '{key}'"):
+        load_config(path)
+
+
 def test_init_phi0_alone_is_applied(tmp_path):
     doc = dict(FAST_CONFIG, init={"phi0": 0.5})
     (cfg,) = load_config(write_config(tmp_path, doc))
@@ -313,6 +342,14 @@ def test_undecodable_config_rejected(tmp_path):
         load_config(path)
 
 
+def test_config_nested_too_deep_rejected(tmp_path):
+    # json recurses once per level and would end in a RecursionError
+    path = tmp_path / "config.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(ConfigError, match="recursion"):
+        load_config(path)
+
+
 def test_unknown_preset_rejected(tmp_path):
     with pytest.raises(ConfigError):
         run_preset("fig9", out_dir=tmp_path)
@@ -323,7 +360,7 @@ def test_preset_overrides_recorded(tmp_path):
     cfg = json.loads(result.metrics_path.read_text())["config"]
     assert cfg["t_end"] == 1e-3
     # the angle the closed form actually starts from
-    assert cfg["init"]["theta0"] == RunConfig(PRESETS["fig7"]).init.theta
+    assert cfg["init"]["theta0"] == default_initial_state(PRESETS["fig7"]).theta
     assert cfg["init"]["phi0"] == 0.5
 
 
@@ -401,6 +438,21 @@ def test_cli_out_of_domain_overrides_exit_code(tmp_path, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "changes, flag, message",
+    [
+        ({"integration": {"rtol": 0}}, "--rtol=1e-9", "rtol: must be finite and positive, got 0"),
+        ({"init": {"theta0": 5}}, "--theta0=0.1", "theta: must lie in [0, pi], got 5"),
+    ],
+)
+def test_cli_flag_does_not_hide_a_bad_config_value(tmp_path, capsys, changes, flag, message):
+    # a flag replaces the file's value only after that value has been checked
+    path = write_config(tmp_path, dict(FAST_CONFIG, regime="strong", **changes))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out"), flag]) == 2
+    assert capsys.readouterr().err == f"validation error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_phi0_whose_double_overflows_exit_code(tmp_path, capsys):
     # finite, but 2*phi0 is inf and the strong equations take sin(2 phi)
     path = write_config(tmp_path, dict(FAST_CONFIG, regime="strong"))
@@ -422,13 +474,22 @@ def test_cli_sweep_label_collision_exit_code(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("label", ["a\0b", "<tmp>/abs/x"], ids=["nul", "absolute-path"])
-def test_cli_label_must_be_a_file_name_prefix(tmp_path, capsys, label):
-    # the label names files inside the output directory, never a path
-    label = label.replace("<tmp>", str(tmp_path))
-    path = write_config(tmp_path, dict(FAST_CONFIG, label=label))
+@pytest.mark.parametrize(
+    "field, value",
+    [("label", "a\0b"), ("label", "<tmp>/abs/x"), ("outputs.directory", "a\0b")],
+    ids=["nul", "absolute-path", "directory-nul"],
+)
+def test_cli_label_must_be_a_file_name_prefix(tmp_path, capsys, field, value):
+    # the label names files inside the output directory, never a path; no
+    # path holds a NUL, so neither may the directory, even where --out replaces it
+    value = value.replace("<tmp>", str(tmp_path))
+    if field == "label":
+        doc = dict(FAST_CONFIG, label=value)
+    else:
+        doc = dict(FAST_CONFIG, outputs={"directory": value})
+    path = write_config(tmp_path, doc)
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err.startswith("validation error: label: ")
+    assert capsys.readouterr().err.startswith(f"validation error: {field}: ")
     assert [p.name for p in tmp_path.rglob("*")] == ["config.json"]
 
 
@@ -561,6 +622,12 @@ def test_cli_deep_phase_lock_exit_code(tmp_path, capsys):
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("validation error: t_end: must be finite")
     assert not (tmp_path / "out").exists()
+    # a window given by --t-end leaves the default window unresolved, as the
+    # same window given in the file does
+    path = write_config(tmp_path, deepest)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out), "--t-end=1.0"]) == 0
+    assert json.loads((out / "run_metrics.json").read_text())["config"]["t_end"] == 1.0
 
 
 # default_t_end of every preset, pinned bit for bit: the deep-lock form of
