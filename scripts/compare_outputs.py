@@ -9,22 +9,25 @@ Unpacks REV's src/ with `git archive`, then runs `simulate preset fig1`
 under the default sample budget), `simulate run --config` on the seed-1
 perfbench sweep config, the same config with `--t-end 3e-3 --phi0 0.25`,
 `simulate preset fig2 --t-end 2e-4 --theta0 0.01 --phi0 0.3 --rtol 1e-8`,
-`simulate preset fig7 --t-end 1e-3 --phi0 0.5` and `simulate oracle --n
-10` and `--n 100`,
-plus ten commands the program must refuse (REFUSALS), under REV's package
-and under the working tree's, each command in its own subprocess and fresh
-output directory.  Every file written is compared byte for byte.  Exits 1
-when a command's exit code is not the expected one on either side, its
-stdout or stderr differs, a refused command writes a file, or any file
-differs or exists on one side only.  A differing CSV's line also counts
-the rows that differ and gives, per column, the largest difference over
-the column's largest magnitude.  The summary line also gives the line
-count of src/**/*.py in both trees.
+`simulate preset fig7 --t-end 1e-3 --phi0 0.5`, two configs that override
+the regime classifier (CLASSIFIER_OVERRIDES: the weak closed form at
+fig1's parameters, the strong equations at a weak-classified point) and
+`simulate oracle --n 10` and `--n 100`, plus ten commands the program
+must refuse (REFUSALS) and a config it must refuse (a Dicke limit with
+g > 0), under REV's package and under the working tree's, each command in
+its own subprocess and fresh output directory.  Every file written is
+compared byte for byte.  Exits 1 when a command's exit code is not the
+expected one on either side, its stdout or stderr differs, a refused
+command writes a file, or any file differs or exists on one side only.
+A differing CSV's line also counts the rows that differ and gives, per
+column, the largest difference over the column's largest magnitude.  The
+summary line also gives the line count of src/**/*.py in both trees.
 """
 from __future__ import annotations
 
 import filecmp
 import io
+import json
 import os
 import subprocess
 import sys
@@ -53,6 +56,21 @@ REFUSALS = [
     (["oracle", "--n", "10", "--omega-ratio", "nan"], 2),
     (["oracle", "--n", "10", "--t-end", "-1"], 2),
 ]
+
+# config documents that set the regime against N*gamma/omega0's classification
+CLASSIFIER_OVERRIDES = {
+    "weak_fig1": {"params": {"n_atoms": 10_000, "omega0": 1e6, "g": 100}, "regime": "weak"},
+    "strong_weak_point": {"params": {"n_atoms": 10_000, "omega0": 2.5e6, "g": 100},
+                          "regime": "strong", "t_end": 2e-4},
+}
+# a config document that must be refused with exit 2: the Dicke limit needs g = 0
+DICKE_WITH_G = {"params": {"n_atoms": 10_000, "omega0": 1e6, "g": 100}, "regime": "dicke"}
+
+
+def write_config(path: Path, doc: dict) -> list[str]:
+    """The argv of `simulate run` on doc, written as JSON to path."""
+    path.write_text(json.dumps(doc))
+    return ["run", "--config", str(path)]
 
 
 def unpack_src(rev: str, dest: Path) -> Path:
@@ -113,8 +131,11 @@ def main(rev: str) -> int:
              "--rtol", "1e-8"],
             ["preset", "fig7", "--t-end", "1e-3", "--phi0", "0.5"],
         ]
+        commands += [write_config(tmp / f"{label}.json", {"label": label, **doc})
+                     for label, doc in CLASSIFIER_OVERRIDES.items()]
         commands += [["oracle", "--n", "10"], ["oracle", "--n", "100"]]
         commands = [(argv, 0) for argv in commands] + REFUSALS
+        commands.append((write_config(tmp / "dicke_with_g.json", DICKE_WITH_G), 2))
 
         problems = []
         n_files = n_same = 0

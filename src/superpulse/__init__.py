@@ -40,6 +40,7 @@ from .runner import (
     PRESETS,
     RunConfig,
     RunResult,
+    resolve,
     run_config,
     run_preset,
 )

@@ -3,12 +3,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .errors import ParameterDomainError, SampleBudgetError
-from .params import (DerivedParams, Regime, SampleParams, check_finite, check_integer,
-                     derive_params, is_finite, short_repr)
+from .params import (DerivedParams, SampleParams, check_finite, check_integer, derive_params,
+                     is_finite, short_repr)
 
 # canonical initial azimuth: sin(phi)^2 = 1, maximal initial emission channel
 DEFAULT_PHI0 = math.pi / 2
@@ -66,17 +67,24 @@ class IntegratorStats:
     norm_drift: float | None = None  # set only by the cartesian twin in tests; null in the metrics
 
 
+@dataclass(frozen=True)
+class RunConfig:
+    """One run's inputs with every default resolved; parse_config builds it."""
+
+    params: SampleParams
+    label: str
+    init: BlochState
+    t_end: float
+    integration: IntegrationControl
+    out_dir: Path
+    formats: tuple[str, ...]
+
+
 @dataclass
 class BlochTrajectory:
-    """Dense (theta, phi) samples on a uniform scaled-time grid over [0, t[-1]].
-
-    kind records which regime's observable map applies to the samples
-    (set by whichever routine produced the trajectory, not by the
-    classifier).
-    """
+    """Dense (theta, phi) samples on a uniform scaled-time grid over [0, t[-1]]."""
 
     sample_params: SampleParams
-    kind: Regime
     t: np.ndarray
     theta: np.ndarray
     phi: np.ndarray
@@ -97,7 +105,7 @@ def default_initial_state(p: SampleParams) -> BlochState:
     return BlochState(theta=math.asin(2.0 / (n + 1.0 / n)), phi=DEFAULT_PHI0)
 
 
-def envelope_timescale(p: SampleParams, kind: Regime) -> float:
+def envelope_timescale(p: SampleParams) -> float:
     """Estimated emission-envelope time constant in units of 1/gamma.
 
     Weak coupling: the closed form gives 2/((1+alpha) N gamma) exactly.
@@ -109,7 +117,7 @@ def envelope_timescale(p: SampleParams, kind: Regime) -> float:
     """
     d = derive_params(p)
     n = float(p.n_atoms)
-    if kind.is_weak_like():
+    if p.regime.is_weak_like():
         return d.tau_c_closed
     half_rate = (n - 1.0) * d.gamma_eff / 2.0
     lock = (n - 1.0) * d.gamma_eff / (4.0 * d.omega_eff)
@@ -125,9 +133,9 @@ def envelope_timescale(p: SampleParams, kind: Regime) -> float:
     return 1.0 / rate if rate else math.inf
 
 
-def default_t_end(p: SampleParams, kind: Regime) -> float:
+def default_t_end(p: SampleParams) -> float:
     """Integration window covering the delay, the envelope and its tail."""
-    tau = envelope_timescale(p, kind)
+    tau = envelope_timescale(p)
     return tau * (math.log(p.n_atoms) + 5.0)
 
 

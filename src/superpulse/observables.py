@@ -17,16 +17,16 @@ from .params import derive_params
 def emission_arrays(traj: BlochTrajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized (t, energy_scaled, intensity_scaled) for a trajectory.
 
-    Strong trajectories map through the angle observables: the energy
-    ((1+alpha)/2) cos(theta) and the intensity
-    (1/4) N (N-1) (1+alpha)^2 sin(theta)^2 sin(phi)^2, whose sin(phi)^2
-    factor carves the superpulse comb out of the envelope.  Weak ones use
-    the closed forms on the same grid.
+    The sample's regime picks the map.  Strong trajectories map through
+    the angle observables: the energy ((1+alpha)/2) cos(theta) and the
+    intensity (1/4) N (N-1) (1+alpha)^2 sin(theta)^2 sin(phi)^2, whose
+    sin(phi)^2 factor carves the superpulse comb out of the envelope.
+    Weak-like ones use the closed forms on the same grid.
     """
-    if traj.kind.is_weak_like():
-        p = traj.sample_params
+    p = traj.sample_params
+    if p.regime.is_weak_like():
         return traj.t, weak.weak_energy(p, traj.t), weak.weak_intensity(p, traj.t)
-    d = derive_params(traj.sample_params)
+    d = derive_params(p)
     n = float(d.n_atoms)
     enh = 1.0 + d.alpha
     energy = np.cos(traj.theta)

@@ -22,6 +22,7 @@ from .bloch import (
     BlochState,
     BlochTrajectory,
     IntegrationControl,
+    RunConfig,
     default_initial_state,
     default_t_end,
 )
@@ -71,19 +72,6 @@ PRESETS: dict[str, SampleParams] = {
     "fig7": SampleParams(10_000, 1e6, 0.0, regime=Regime.DICKE_LIMIT),
     "fig8": SampleParams(10_000, 1e3, 0.0, regime=Regime.STRONG),
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One run's inputs with every default resolved; parse_config builds it."""
-
-    params: SampleParams
-    label: str
-    init: BlochState
-    t_end: float
-    integration: IntegrationControl
-    out_dir: Path
-    formats: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -244,7 +232,7 @@ def parse_config(
                               init.phi if phi is None else phi)
         run_t_end = t_end
         if run_t_end is None:  # neither the file nor a flag sets the window
-            run_t_end = default_t_end(params, params.regime)
+            run_t_end = default_t_end(params)
             if not math.isfinite(run_t_end):  # a phase lock past about 1e161
                 raise SampleBudgetError(run_t_end, integration.max_samples)
         configs.append(RunConfig(params, label, init, run_t_end, integration, out_dir, formats))
@@ -390,9 +378,9 @@ def execute(cfg: RunConfig) -> RunResult:
     if cfg.init.theta in (0.0, math.pi):
         raise EmptyAnalysisError(NO_EMISSION)
     if p.regime.is_weak_like():
-        traj = sample_weak_solution(p, t_end=cfg.t_end, ctrl=cfg.integration, phi0=cfg.init.phi)
+        traj = sample_weak_solution(cfg)
     else:
-        traj = integrate_strong(p, init=cfg.init, t_end=cfg.t_end, ctrl=cfg.integration)
+        traj = integrate_strong(cfg)
 
     t, energy, intensity = emission_arrays(traj)
     metrics = compute_metrics(t, intensity, d)
@@ -407,14 +395,19 @@ def execute(cfg: RunConfig) -> RunResult:
     return RunResult(cfg.label, traj_path, metrics_path, metrics)
 
 
+def resolve(p: SampleParams, label: str = "run", **flags) -> RunConfig:
+    """The RunConfig that parse_config resolves for p under the CLI's run flags."""
+    params = asdict(p)
+    doc = {"label": label, "regime": params.pop("regime").value, "params": params}
+    # base_dir is passed, so it cannot arrive among the flags
+    return parse_config(doc, Path("."), **flags)[0]
+
+
 def run_preset(name: str, **overrides) -> RunResult:
     """Execute one of the figure presets; overrides are parse_config's flag keywords."""
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    params = asdict(PRESETS[name])
-    doc = {"label": name, "regime": params.pop("regime").value, "params": params}
-    # base_dir is passed, so it cannot arrive among the overrides
-    return execute(parse_config(doc, Path("."), **overrides)[0])
+    return execute(resolve(PRESETS[name], name, **overrides))
 
 
 def run_config(path: str | Path, **overrides) -> list[RunResult]:

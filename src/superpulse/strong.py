@@ -13,17 +13,9 @@ import math
 import numpy as np
 
 from . import rk
-from .bloch import (
-    BlochState,
-    BlochTrajectory,
-    IntegrationControl,
-    IntegratorStats,
-    default_initial_state,
-    default_t_end,
-    fast_phase_max_step,
-    output_grid,
-)
-from .params import DerivedParams, Regime, SampleParams, derive_params
+from .bloch import BlochTrajectory, IntegratorStats, RunConfig, fast_phase_max_step, output_grid
+from .errors import ParameterDomainError
+from .params import DerivedParams, derive_params
 
 
 def _make_rhs(d: DerivedParams):
@@ -41,29 +33,20 @@ def _make_rhs(d: DerivedParams):
     return f
 
 
-def integrate_strong(
-    p: SampleParams,
-    init: BlochState | None = None,
-    t_end: float | None = None,
-    ctrl: IntegrationControl | None = None,
-) -> BlochTrajectory:
-    """Integrate the strong-coupling angle equations over [0, t_end].
+def integrate_strong(cfg: RunConfig) -> BlochTrajectory:
+    """Integrate the strong-coupling angle equations from cfg.init over [0, cfg.t_end].
 
-    Unset init, t_end and ctrl take their strong-regime defaults.  The
-    sample budget ctrl.max_samples also caps the accepted steps, so a stiff
-    window cannot run for hours on a small grid.
+    The sample budget cfg.integration.max_samples also caps the accepted
+    steps, so a stiff window cannot run for hours on a small grid.
     """
+    p, ctrl = cfg.params, cfg.integration
+    if p.regime.is_weak_like():
+        raise ParameterDomainError("regime", f"a {p.regime.value} run takes sample_weak_solution")
     d = derive_params(p)
-    if init is None:
-        init = default_initial_state(p)
-    if t_end is None:
-        t_end = default_t_end(p, Regime.STRONG)
-    if ctrl is None:
-        ctrl = IntegrationControl()
-    grid = output_grid(t_end, d, ctrl)
+    grid = output_grid(cfg.t_end, d, ctrl)
     res = rk.solve(
         _make_rhs(d),
-        (init.theta, init.phi),
+        (cfg.init.theta, cfg.init.phi),
         grid,
         rtol=ctrl.rtol,
         atol=ctrl.atol,
@@ -75,7 +58,6 @@ def integrate_strong(
     np.clip(theta, 0.0, math.pi, out=theta)
     return BlochTrajectory(
         sample_params=p,
-        kind=Regime.STRONG,
         t=grid,
         theta=theta,
         phi=phi,

@@ -8,15 +8,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bloch import (
-    DEFAULT_PHI0,
-    BlochTrajectory,
-    IntegrationControl,
-    IntegratorStats,
-    default_t_end,
-    output_grid,
-)
-from .params import DerivedParams, Regime, SampleParams, derive_params
+from .bloch import BlochTrajectory, IntegratorStats, RunConfig, output_grid
+from .errors import ParameterDomainError
+from .params import DerivedParams, SampleParams, derive_params
 
 
 def _sech(x):
@@ -31,7 +25,7 @@ def _closed_form_arg(d: DerivedParams, t):
     return (np.asarray(t, dtype=float) - d.delay_time_closed) / d.tau_c_closed
 
 
-def weak_angles(p: SampleParams, t, phi0: float = DEFAULT_PHI0):
+def weak_angles(p: SampleParams, t, phi0: float):
     """Closed-form Bloch angles (theta, phi) at scaled times t.
 
     sin(theta) = sech((t - t0)/tau_c) with theta < pi/2 before the delay
@@ -63,27 +57,19 @@ def weak_intensity(p: SampleParams, t):
     return (n * (1.0 + d.alpha)) ** 2 / 4.0 * s * s
 
 
-def sample_weak_solution(
-    p: SampleParams,
-    t_end: float | None = None,
-    ctrl: IntegrationControl | None = None,
-    phi0: float = DEFAULT_PHI0,
-) -> BlochTrajectory:
-    """Evaluate the closed form on the standard output grid.
+def sample_weak_solution(cfg: RunConfig) -> BlochTrajectory:
+    """Evaluate the closed form, from cfg.init.phi, on the output grid over [0, cfg.t_end].
 
-    This is the production path for weak-regime runs; no integration error
+    This is the production path for weak-like runs; no integration error
     is involved, so the stats report zero steps.
     """
-    d = derive_params(p)
-    if t_end is None:
-        t_end = default_t_end(p, Regime.WEAK)
-    if ctrl is None:
-        ctrl = IntegrationControl()
-    grid = output_grid(t_end, d, ctrl)
-    theta, phi = weak_angles(p, grid, phi0)
+    p = cfg.params
+    if not p.regime.is_weak_like():
+        raise ParameterDomainError("regime", "a strong run takes integrate_strong")
+    grid = output_grid(cfg.t_end, derive_params(p), cfg.integration)
+    theta, phi = weak_angles(p, grid, cfg.init.phi)
     return BlochTrajectory(
         sample_params=p,
-        kind=Regime.WEAK,
         t=grid,
         theta=theta,
         phi=phi,

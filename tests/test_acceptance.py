@@ -8,7 +8,7 @@ shared across criteria.
 import functools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -22,6 +22,7 @@ from superpulse import (
     emission_arrays,
     evolve_ladder,
     integrate_strong,
+    resolve,
     sample_weak_solution,
     weak_intensity,
 )
@@ -47,10 +48,11 @@ def pipeline(name: str) -> Pipeline:
     p = PRESETS[name]
     d = derive_params(p)
     start = time.perf_counter()
+    cfg = resolve(p, name)
     if p.regime.is_weak_like():
-        traj = sample_weak_solution(p)
+        traj = sample_weak_solution(cfg)
     else:
-        traj = integrate_strong(p)
+        traj = integrate_strong(cfg)
     t, energy, intensity = emission_arrays(traj)
     metrics = compute_metrics(t, intensity, d)
     elapsed = time.perf_counter() - start
@@ -102,7 +104,7 @@ def test_criterion_2_weak_coupling_enhancement():
     d = derive_params(p)
     closed_peak = weak_intensity(p, d.delay_time_closed)
     tau_c = d.tau_c_closed
-    traj = sample_weak_solution(p)
+    traj = sample_weak_solution(resolve(p))
     t, energy, intensity = emission_arrays(traj)
     sampled_peak = intensity.max()
     elapsed = time.perf_counter() - start
@@ -271,18 +273,22 @@ def test_criterion_6_numerical_invariants():
     sel[2:-2] = intensity[2:-2] >= 0.5 * np.nanmax(intensity)
     fd_rel = float(np.max(np.abs(didt[sel] - intensity[sel]) / intensity[sel]))
 
-    halved = integrate_strong(p, ctrl=IntegrationControl(rtol=5e-10, atol=5e-13))
-    tight = integrate_strong(p, ctrl=IntegrationControl(rtol=1e-11, atol=1e-14))
+    halved = integrate_strong(
+        replace(resolve(p), integration=IntegrationControl(rtol=5e-10, atol=5e-13))
+    )
+    tight = integrate_strong(
+        replace(resolve(p), integration=IntegrationControl(rtol=1e-11, atol=1e-14))
+    )
     enh = (1 + d.alpha) / 2
     eps_base = enh * np.cos(pl.traj.theta)
     scale = float(np.abs(enh * np.cos(tight.theta)).max())
     conv_half = float(np.max(np.abs(eps_base - enh * np.cos(halved.theta)))) / scale
     conv_tight = float(np.max(np.abs(eps_base - enh * np.cos(tight.theta)))) / scale
 
-    cart = integrate_cartesian(p)
+    cart = integrate_cartesian(resolve(p))
     drift = cart.stats.norm_drift
 
-    rerun = integrate_strong(p)
+    rerun = integrate_strong(resolve(p))
     identical = bool(
         np.array_equal(pl.traj.theta, rerun.theta) and np.array_equal(pl.traj.phi, rerun.phi)
     )

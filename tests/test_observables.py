@@ -14,6 +14,7 @@ from superpulse import (
     emission_arrays,
     find_superpulses,
     integrate_strong,
+    resolve,
     sample_weak_solution,
     weak_energy,
     weak_intensity,
@@ -29,7 +30,6 @@ def strong_trajectory(theta, phi, p=P_DENSE) -> BlochTrajectory:
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     return BlochTrajectory(
         sample_params=p,
-        kind=Regime.STRONG,
         t=np.zeros(len(theta)),
         theta=theta,
         phi=np.broadcast_to(np.asarray(phi, dtype=float), theta.shape),
@@ -90,7 +90,7 @@ def test_energy_bounded_by_half_enhancement(theta):
 
 def test_weak_trajectory_emission_single_sech_pulse():
     # Dicke-limit run: single pulse peaking at the delay time near (N/2)^2
-    traj = sample_weak_solution(P_DICKE)
+    traj = sample_weak_solution(resolve(P_DICKE))
     t, energy, intensity = emission_arrays(traj)
     ipk = int(np.argmax(intensity))
     t0 = derive_params(P_DICKE).delay_time_closed
@@ -103,7 +103,7 @@ def test_weak_trajectory_emission_single_sech_pulse():
 
 
 def test_weak_emission_arrays_match_closed_forms():
-    traj = sample_weak_solution(P_DICKE, t_end=1e-4)
+    traj = sample_weak_solution(resolve(P_DICKE, t_end=1e-4))
     t, energy, intensity = emission_arrays(traj)
     assert len(traj) == len(t)
     assert t[7] == traj.t[7]
@@ -121,7 +121,7 @@ def test_strong_peaks_sit_where_the_phase_channel_opens():
     # spaced by half a phase period, pi/omega_eff
     p = SampleParams(10_000, 1e5, 1e2)
     d = derive_params(p)
-    traj = integrate_strong(p)
+    traj = integrate_strong(resolve(p))
     t, energy, intensity = emission_arrays(traj)
     pulses = find_superpulses(t, intensity)
     big = [q for q in pulses if q.height >= 0.1 * max(q.height for q in pulses)]
@@ -133,7 +133,7 @@ def test_strong_peaks_sit_where_the_phase_channel_opens():
 
 def test_weak_energy_intensity_consistency_on_grid():
     # finite differences of the sampled energy reproduce the intensity
-    traj = sample_weak_solution(P_DICKE)
+    traj = sample_weak_solution(resolve(P_DICKE))
     t, energy, intensity = emission_arrays(traj)
     mid = intensity >= 0.25 * intensity.max()
     didt = -P_DICKE.n_atoms * np.gradient(energy, t)
@@ -145,7 +145,7 @@ def test_strong_energy_intensity_consistency_near_peaks():
     # I = -N d(eps)/dt holds on the comb; fourth-order differences keep the
     # truncation error of the fast phase below the 1e-3 budget
     p = SampleParams(10_000, 1e5, 1e2)
-    traj = integrate_strong(p)
+    traj = integrate_strong(resolve(p))
     t, energy, intensity = emission_arrays(traj)
     h = t[1] - t[0]
     n = p.n_atoms

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 from superpulse import (
     EmptyAnalysisError,
     ParameterDomainError,
+    Regime,
     SampleParams,
     compute_metrics,
     derive_params,
     emission_arrays,
     envelope,
     find_superpulses,
+    resolve,
     sample_weak_solution,
 )
 from superpulse import rk
@@ -192,8 +194,8 @@ def test_ramp_is_one_pulse_at_the_global_maximum(ripple):
 def test_weak_run_delay_and_tau_c_recovered():
     # sech^2 ground truth: the measured envelope statistics reproduce the
     # closed-form characteristic and delay times
-    p = SampleParams(10_000, 1e6, 0.0)
-    traj = sample_weak_solution(p)
+    p = SampleParams(10_000, 1e6, 0.0, regime=Regime.DICKE_LIMIT)
+    traj = sample_weak_solution(resolve(p))
     t, energy, intensity = emission_arrays(traj)
     d = derive_params(p)
     metrics = compute_metrics(t, intensity, d)

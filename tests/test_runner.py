@@ -20,9 +20,9 @@ from superpulse import (
     SampleBudgetError,
     compute_metrics,
     default_initial_state,
-    default_t_end,
     derive_params,
     evolve_ladder,
+    integrate_strong,
     runner,
 )
 from superpulse.cli import main
@@ -32,6 +32,7 @@ from superpulse.runner import (
     RunConfig,
     load_config,
     parse_config,
+    resolve,
     run_config,
     run_preset,
 )
@@ -603,6 +604,18 @@ def test_cli_budget_exit_code(tmp_path, capsys):
     assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 3
 
 
+def test_cli_budget_past_memory_exit_code(tmp_path, capsys):
+    # the grid of 1e15 samples fits the budget, but its 7 PiB fit no 64-bit
+    # address space, so numpy's allocation fails before anything is written
+    doc = {"params": {"n_atoms": 10000, "omega0": 1e6, "g": 0},
+           "integration": {"max_samples": 1e30}, "t_end": 1e8}
+    path = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("integration error: ")
+    assert not out.exists()
+
+
 def test_cli_deep_phase_lock_exit_code(tmp_path, capsys):
     # a lock (N-1)/(4 omega0) of 2.5e9 cancels the locked sin^2 to 0 in its
     # usual form; the window then asks for far more samples than the budget.
@@ -647,7 +660,17 @@ PRESET_T_END_HEX = {
 def test_preset_default_t_end_bits():
     assert sorted(PRESET_T_END_HEX) == sorted(PRESETS)
     for name, p in PRESETS.items():
-        assert default_t_end(p, p.regime).hex() == PRESET_T_END_HEX[name], name
+        assert resolve(p, name).t_end.hex() == PRESET_T_END_HEX[name], name
+
+
+def test_library_run_is_the_preset_run(tmp_path):
+    # the library resolves a run as the CLI does: the CSV columns, read
+    # back from %.17g, are the trajectory's angles bit for bit
+    traj = integrate_strong(resolve(PRESETS["fig2"], "fig2", t_end=2e-4))
+    result = run_preset("fig2", t_end=2e-4, out_dir=tmp_path)
+    _, theta, phi, _, _ = read_trajectory_csv(result.trajectory_path)
+    for a, b in ((theta, traj.theta), (phi, traj.phi)):
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def test_cli_budget_error_prints_a_short_count(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from superpulse import (
     IntegrationControl,
     IntegrationFailure,
     ParameterDomainError,
+    Regime,
     SampleBudgetError,
     SampleParams,
     compute_metrics,
@@ -18,6 +20,7 @@ from superpulse import (
     derive_params,
     emission_arrays,
     integrate_strong,
+    resolve,
 )
 from superpulse import rk
 from superpulse.bloch import fast_phase_max_step, output_grid
@@ -56,7 +59,7 @@ def test_rhs_at_quarter_angles():
 
 def test_zero_window_returns_single_initial_sample():
     init = default_initial_state(P_FIG1)
-    traj = integrate_strong(P_FIG1, t_end=0.0)
+    traj = integrate_strong(resolve(P_FIG1, t_end=0.0))
     assert len(traj) == 1
     assert traj.t[0] == 0.0
     assert traj.theta[0] == init.theta
@@ -68,7 +71,7 @@ def test_zero_window_returns_single_initial_sample():
 
 
 def test_samples_start_at_zero_and_increase():
-    traj = integrate_strong(P_FIG2)
+    traj = integrate_strong(resolve(P_FIG2))
     assert traj.t[0] == 0.0
     assert np.all(np.diff(traj.t) > 0)
 
@@ -76,29 +79,31 @@ def test_samples_start_at_zero_and_increase():
 def test_theta_never_decreases():
     # monotone up to integrator tolerance (the dense-output quartic can
     # wiggle at the solution-error level where d(theta)/dt ~ 0)
-    traj = integrate_strong(P_FIG2)
+    traj = integrate_strong(resolve(P_FIG2))
     tol = 10 * IntegrationControl().rtol * math.pi
     assert np.all(np.diff(traj.theta) >= -tol)
 
 
 def test_theta_spans_the_sphere():
     # the window is sized to cover the whole emission envelope
-    traj = integrate_strong(P_FIG2)
+    traj = integrate_strong(resolve(P_FIG2))
     assert traj.theta[0] < 1e-3
     assert traj.theta[-1] > math.pi - 0.1
 
 
 def test_deterministic_reruns_bit_identical():
-    a = integrate_strong(P_FIG2)
-    b = integrate_strong(P_FIG2)
+    a = integrate_strong(resolve(P_FIG2))
+    b = integrate_strong(resolve(P_FIG2))
     assert np.array_equal(a.theta, b.theta)
     assert np.array_equal(a.phi, b.phi)
     assert a.stats == b.stats
 
 
 def test_self_convergence_under_tighter_tolerance():
-    base = integrate_strong(P_FIG1)
-    tight = integrate_strong(P_FIG1, ctrl=IntegrationControl(rtol=1e-11, atol=1e-14))
+    base = integrate_strong(resolve(P_FIG1))
+    tight = integrate_strong(
+        replace(resolve(P_FIG1), integration=IntegrationControl(rtol=1e-11, atol=1e-14))
+    )
     eps_base = (1 + D_FIG1.alpha) / 2 * np.cos(base.theta)
     eps_tight = (1 + D_FIG1.alpha) / 2 * np.cos(tight.theta)
     scale = np.abs(eps_tight).max()
@@ -142,9 +147,9 @@ def test_dense_output_depends_only_on_the_step_sequence():
 
 def _dense_path_values():
     """Grid values of the angle and cartesian fills, the observables and a zero window."""
-    angles = integrate_strong(P_FIG2, t_end=2e-5)
-    cart = integrate_cartesian(P_FIG2, t_end=2e-5)
-    zero = integrate_strong(P_FIG2, t_end=0.0)
+    angles = integrate_strong(resolve(P_FIG2, t_end=2e-5))
+    cart = integrate_cartesian(resolve(P_FIG2, t_end=2e-5))
+    zero = integrate_strong(resolve(P_FIG2, t_end=0.0))
     return [angles.theta, angles.phi, *emission_arrays(angles), cart.theta, cart.phi,
             zero.theta, zero.phi, *emission_arrays(zero)]
 
@@ -166,7 +171,7 @@ def test_dense_path_peak_memory_is_the_columns_and_a_few_blocks():
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        traj = integrate_strong(p)
+        traj = integrate_strong(resolve(p))
         t, energy, intensity = emission_arrays(traj)
         compute_metrics(t, intensity, derive_params(p))
         peak = tracemalloc.get_traced_memory()[1] - before
@@ -176,9 +181,16 @@ def test_dense_path_peak_memory_is_the_columns_and_a_few_blocks():
     assert peak <= 5 * 8 * len(t) + 4 * 2**20
 
 
+def test_weak_like_config_refused():
+    for regime in (Regime.WEAK, Regime.DICKE_LIMIT):
+        cfg = resolve(SampleParams(10_000, 1e6, 0.0, regime=regime))
+        with pytest.raises(ParameterDomainError, match="^regime: "):
+            integrate_strong(cfg)
+
+
 def test_sample_budget_guard():
     with pytest.raises(SampleBudgetError):
-        integrate_strong(P_FIG1, ctrl=IntegrationControl(max_samples=1000))
+        integrate_strong(replace(resolve(P_FIG1), integration=IntegrationControl(max_samples=1000)))
 
 
 @pytest.mark.parametrize(
@@ -201,7 +213,9 @@ def test_step_budget_stops_a_stiff_window():
     # near 1/(N gamma), far below the 20-sample grid's spacing
     p = SampleParams(10**9, 1e4, 10.0)
     with pytest.raises(IntegrationFailure, match="step budget of 1000 "):
-        integrate_strong(p, t_end=1e-10, ctrl=IntegrationControl(max_samples=1000))
+        integrate_strong(
+            replace(resolve(p, t_end=1e-10), integration=IntegrationControl(max_samples=1000))
+        )
 
 
 def test_step_size_underflow_raises_with_last_state():
@@ -270,8 +284,8 @@ def test_cartesian_matches_angle_formulation():
     # dual-formulation oracle: identical flow in different variables; run
     # tight so formulation differences, not step error, would dominate
     ctrl = IntegrationControl(rtol=1e-11, atol=1e-14)
-    ang = integrate_strong(P_FIG6, ctrl=ctrl)
-    cart = integrate_cartesian(P_FIG6, ctrl=ctrl)
+    ang = integrate_strong(replace(resolve(P_FIG6), integration=ctrl))
+    cart = integrate_cartesian(replace(resolve(P_FIG6), integration=ctrl))
     d = derive_params(P_FIG6)
     eps_a = (1 + d.alpha) / 2 * np.cos(ang.theta)
     eps_c = (1 + d.alpha) / 2 * np.cos(cart.theta)
@@ -281,17 +295,18 @@ def test_cartesian_matches_angle_formulation():
 
 def test_cartesian_norm_drift_small_at_tight_tolerance():
     ctrl = IntegrationControl(rtol=1e-11, atol=1e-14)
-    traj = integrate_cartesian(P_FIG1, ctrl=ctrl)
+    traj = integrate_cartesian(replace(resolve(P_FIG1), integration=ctrl))
     assert traj.stats.norm_drift is not None
     assert traj.stats.norm_drift <= 1e-8
 
 
 def test_cartesian_pole_stays_put():
-    traj = integrate_cartesian(P_FIG2, init=BlochState(0.0, math.pi / 2), t_end=1e-4)
+    cfg = replace(resolve(P_FIG2, t_end=1e-4), init=BlochState(0.0, math.pi / 2))
+    traj = integrate_cartesian(cfg)
     assert np.max(traj.theta) < 1e-12
 
 
 def test_cartesian_phase_on_requested_branch():
-    traj = integrate_cartesian(P_FIG2, t_end=1e-5)
+    traj = integrate_cartesian(resolve(P_FIG2, t_end=1e-5))
     assert traj.phi[0] == pytest.approx(math.pi / 2, abs=1e-9)
     assert np.all(np.diff(traj.phi) > 0)  # phase accumulates, no wrapping

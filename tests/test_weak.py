@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,18 +9,23 @@ from hypothesis import strategies as st
 from superpulse import (
     BlochState,
     IntegrationControl,
+    ParameterDomainError,
+    Regime,
     SampleParams,
     derive_params,
+    resolve,
+    sample_weak_solution,
     weak_angles,
     weak_energy,
     weak_intensity,
 )
 from twins import integrate_weak_ode
 
-P_DICKE = SampleParams(10_000, 1e6, 0.0)          # alpha = 0
+P_DICKE = SampleParams(10_000, 1e6, 0.0, regime=Regime.DICKE_LIMIT)  # alpha = 0
 P_DENSE = SampleParams(10_000, 1e6, 1e2)          # alpha = 2
 D_DICKE = derive_params(P_DICKE)
 D_DENSE = derive_params(P_DENSE)
+PHI0 = resolve(P_DICKE).init.phi  # the azimuth a run starts from
 
 SECH_LN_N = 1.9999999800000002e-4  # sech(ln 1e4) = 2/(N + 1/N), mpmath 40 digits
 
@@ -34,19 +40,19 @@ def test_characteristic_time_shrinks_with_alpha():
 
 
 def test_solution_crosses_equator_at_delay_time():
-    theta, _ = weak_angles(P_DICKE, D_DICKE.delay_time_closed)
+    theta, _ = weak_angles(P_DICKE, D_DICKE.delay_time_closed, PHI0)
     assert theta == math.pi / 2
 
 
 def test_solution_tipping_angle_at_time_zero():
-    theta, _ = weak_angles(P_DICKE, 0.0)
+    theta, _ = weak_angles(P_DICKE, 0.0, PHI0)
     assert math.sin(theta) == pytest.approx(SECH_LN_N, rel=1e-14)
     assert theta < math.pi / 2
 
 
 def test_solution_branch_past_delay_time():
     t0 = D_DICKE.delay_time_closed
-    theta, _ = weak_angles(P_DICKE, 2.0 * t0)
+    theta, _ = weak_angles(P_DICKE, 2.0 * t0, PHI0)
     assert theta > math.pi / 2
 
 
@@ -129,6 +135,11 @@ def test_energy_intensity_identity_finite_differences():
     assert np.max(np.abs(lhs - rhs) / lhs) < 1e-6
 
 
+def test_closed_form_refuses_a_strong_config():
+    with pytest.raises(ParameterDomainError, match="^regime: "):
+        sample_weak_solution(resolve(P_DENSE))
+
+
 # --- ODE validation path ------------------------------------------------
 
 def test_ode_matches_rate_consistent_closed_form():
@@ -137,7 +148,7 @@ def test_ode_matches_rate_consistent_closed_form():
     p = P_DICKE
     n = p.n_atoms
     t0 = derive_params(p).delay_time_closed
-    traj = integrate_weak_ode(p, t_end=2.0 * t0)
+    traj = integrate_weak_ode(resolve(p, t_end=2.0 * t0))
     rate = (n - 1) * 1.0 / 2.0  # (N-1) * gamma_eff / 2 at alpha = 0
     u0 = math.log(math.tan(traj.theta[0] / 2.0))
     expected = 1.0 / np.cosh(u0 + rate * traj.t)
@@ -151,7 +162,7 @@ def test_ode_matches_standard_closed_form_to_order_one_over_n():
     p = P_DICKE
     d = derive_params(p)
     t0, tau = d.delay_time_closed, d.tau_c_closed
-    traj = integrate_weak_ode(p, t_end=2.0 * t0)
+    traj = integrate_weak_ode(resolve(p, t_end=2.0 * t0))
     expected = 1.0 / np.cosh((traj.t - t0) / tau)
     rel = np.abs(np.sin(traj.theta) - expected) / expected
     bound = 2.5 * math.log(p.n_atoms) / p.n_atoms
@@ -160,7 +171,8 @@ def test_ode_matches_standard_closed_form_to_order_one_over_n():
 
 
 def test_ode_pole_is_a_fixed_point():
-    traj = integrate_weak_ode(P_DICKE, init=BlochState(0.0, math.pi / 2), t_end=1e-3)
+    cfg = replace(resolve(P_DICKE, t_end=1e-3), init=BlochState(0.0, math.pi / 2))
+    traj = integrate_weak_ode(cfg)
     assert np.all(traj.theta == 0.0)
 
 
@@ -169,7 +181,7 @@ def test_two_atom_ode_is_logistic_in_half_angle():
     # tan(theta/2) = tan(theta0/2) exp(Gamma t / 2)
     p = SampleParams(2, 1e2, 0.0)
     theta0 = 0.2
-    traj = integrate_weak_ode(p, init=BlochState(theta0, math.pi / 2), t_end=10.0)
+    traj = integrate_weak_ode(replace(resolve(p, t_end=10.0), init=BlochState(theta0, math.pi / 2)))
     u0 = math.log(math.tan(theta0 / 2.0))
     expected = 1.0 / np.cosh(u0 + 0.5 * traj.t)
     assert np.max(np.abs(np.sin(traj.theta) - expected)) < 1e-9
@@ -177,5 +189,5 @@ def test_two_atom_ode_is_logistic_in_half_angle():
 
 def test_ode_phase_advances_at_effective_frequency():
     t_end = 1e-5
-    traj = integrate_weak_ode(P_DICKE, t_end=t_end)
+    traj = integrate_weak_ode(resolve(P_DICKE, t_end=t_end))
     assert traj.phi[-1] - traj.phi[0] == pytest.approx(1e6 * t_end, rel=1e-9)

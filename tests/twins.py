@@ -4,8 +4,9 @@ integrate_cartesian evolves the strong-coupling flow rewritten for the
 unit Bloch vector; because the exact flow conserves the norm, the
 numerical drift of |s| is a direct integration-quality diagnostic.
 integrate_weak_ode integrates the weak-coupling equations whose solution
-the closed form claims to be.  Both call rk.solve on the standard output
-grid with the fast-phase step cap, exactly as strong.integrate_strong does.
+the closed form claims to be.  Both run a RunConfig from runner.resolve
+and call rk.solve on the standard output grid with the fast-phase step
+cap, exactly as strong.integrate_strong does.
 ladder_rows recomputes an oracle run one output interval at a time, the
 reference for evolve_ladder's block products.
 """
@@ -20,10 +21,8 @@ from superpulse import rk
 from superpulse.bloch import (
     BlochState,
     BlochTrajectory,
-    IntegrationControl,
     IntegratorStats,
-    default_initial_state,
-    default_t_end,
+    RunConfig,
     fast_phase_max_step,
     output_grid,
 )
@@ -33,7 +32,7 @@ from superpulse.ladder import (
     cascade_rates,
     interval_propagator,
 )
-from superpulse.params import DerivedParams, Regime, SampleParams, derive_params
+from superpulse.params import DerivedParams, derive_params
 
 
 def make_cartesian_rhs(d: DerivedParams):
@@ -75,53 +74,42 @@ def cartesian_state(init: BlochState) -> tuple[float, float, float]:
     )
 
 
-def _solve(p: SampleParams, kind: Regime, make_rhs, to_state, init, t_end, ctrl):
-    """(init, grid, rk.solve result) with unset init, t_end and ctrl defaulted for kind."""
-    d = derive_params(p)
-    if init is None:
-        init = default_initial_state(p)
-    if t_end is None:
-        t_end = default_t_end(p, kind)
-    if ctrl is None:
-        ctrl = IntegrationControl()
-    grid = output_grid(t_end, d, ctrl)
+def _solve(cfg: RunConfig, make_rhs, to_state):
+    """(grid, rk.solve result) of the flow make_rhs builds, run as cfg says."""
+    d = derive_params(cfg.params)
+    ctrl = cfg.integration
+    grid = output_grid(cfg.t_end, d, ctrl)
     res = rk.solve(
         make_rhs(d),
-        to_state(init),
+        to_state(cfg.init),
         grid,
         rtol=ctrl.rtol,
         atol=ctrl.atol,
         max_step=fast_phase_max_step(d, ctrl),
         max_steps=ctrl.max_samples,
     )
-    return init, grid, res
+    return grid, res
 
 
-def _trajectory(p, kind, grid, theta, phi, res, norm_drift=None) -> BlochTrajectory:
+def _trajectory(cfg, grid, theta, phi, res, norm_drift=None) -> BlochTrajectory:
     stats = IntegratorStats(res.n_accepted, res.n_rejected, res.max_error_ratio, norm_drift)
-    return BlochTrajectory(p, kind, grid, theta, phi, stats)
+    return BlochTrajectory(cfg.params, grid, theta, phi, stats)
 
 
-def integrate_cartesian(
-    p: SampleParams,
-    init: BlochState | None = None,
-    t_end: float | None = None,
-    ctrl: IntegrationControl | None = None,
-) -> BlochTrajectory:
+def integrate_cartesian(cfg: RunConfig) -> BlochTrajectory:
     """Twin of integrate_strong on the unit Bloch vector.
 
     Returns angles recovered from (sx, sy, sz); stats.norm_drift reports
     max | |s| - 1 | over all accepted steps.  Drift beyond 1e-6 is flagged
     with a RuntimeWarning but the trajectory is still returned.
     """
-    init, grid, res = _solve(p, Regime.STRONG, make_cartesian_rhs, cartesian_state,
-                             init, t_end, ctrl)
+    grid, res = _solve(cfg, make_cartesian_rhs, cartesian_state)
     sx, sy, sz = res.grid_values
     r = np.sqrt(sx * sx + sy * sy + sz * sz)
     theta = np.arccos(np.clip(sz / r, -1.0, 1.0))
     phi = np.unwrap(np.arctan2(sy, sx))
     # unwrap starts at atan2's principal value; shift onto the requested branch
-    phi += init.phi - phi[0]
+    phi += cfg.init.phi - phi[0]
 
     sxs, sys_, szs = res.step_values
     rs = np.sqrt(sxs * sxs + sys_ * sys_ + szs * szs)
@@ -133,21 +121,15 @@ def integrate_cartesian(
             RuntimeWarning,
             stacklevel=2,
         )
-    return _trajectory(p, Regime.STRONG, grid, theta, phi, res, drift)
+    return _trajectory(cfg, grid, theta, phi, res, drift)
 
 
-def integrate_weak_ode(
-    p: SampleParams,
-    init: BlochState | None = None,
-    t_end: float | None = None,
-    ctrl: IntegrationControl | None = None,
-) -> BlochTrajectory:
+def integrate_weak_ode(cfg: RunConfig) -> BlochTrajectory:
     """Numerically integrate the weak-coupling ODEs (cross-check of the closed form)."""
-    _, grid, res = _solve(p, Regime.WEAK, make_weak_rhs, lambda s: (s.theta, s.phi),
-                          init, t_end, ctrl)
+    grid, res = _solve(cfg, make_weak_rhs, lambda s: (s.theta, s.phi))
     theta, phi = res.grid_values
     np.clip(theta, 0.0, math.pi, out=theta)
-    return _trajectory(p, Regime.WEAK, grid, theta, phi, res)
+    return _trajectory(cfg, grid, theta, phi, res)
 
 
 def ladder_rows(run: LadderRun) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
