@@ -22,6 +22,11 @@ command writes a file, or any file differs or exists on one side only.
 A differing CSV's line also counts the rows that differ and gives, per
 column, the largest difference over the column's largest magnitude.  The
 summary line also gives the line count of src/**/*.py in both trees.
+
+Each child is reaped with os.wait4, which reports its peak resident set
+(ru_maxrss).  One RSS line is printed per command that exits 0 on both
+sides with peaks more than RSS_REPORT_MIB apart.  That is a report only:
+it never changes the exit code.
 """
 from __future__ import annotations
 
@@ -56,6 +61,9 @@ REFUSALS = [
     (["oracle", "--n", "10", "--omega-ratio", "nan"], 2),
     (["oracle", "--n", "10", "--t-end", "-1"], 2),
 ]
+
+# peak resident sets further apart than this get an RSS line
+RSS_REPORT_MIB = 1.0
 
 # config documents that set the regime against N*gamma/omega0's classification
 CLASSIFIER_OVERRIDES = {
@@ -102,15 +110,23 @@ def csv_difference(a: Path, b: Path) -> str:
     return f"{n_rows} of {len(lines_a) - 1} rows; largest relative difference {columns}"
 
 
-def run(src: Path, argv: list[str], out: Path) -> tuple[int, str, str]:
-    """Exit code, stdout and stderr of one CLI call, the output directory masked."""
+def run(src: Path, argv: list[str], out: Path) -> tuple[int, str, str, float]:
+    """Exit code, stdout and stderr of one CLI call, the output directory masked,
+    and its peak resident set in MiB."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run(
-        [sys.executable, "-m", "superpulse.cli", *argv, "--out", str(out)],
-        env=env, capture_output=True, text=True,
-    )
-    return (proc.returncode, proc.stdout.replace(str(out), "<out>"),
-            proc.stderr.replace(str(out), "<out>"))
+    with tempfile.TemporaryFile() as stdout, tempfile.TemporaryFile() as stderr:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "superpulse.cli", *argv, "--out", str(out)],
+            env=env, stdout=stdout, stderr=stderr,
+        )
+        # reaped here rather than by Popen, for the child's resource usage
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        texts = []
+        for stream in (stdout, stderr):
+            stream.seek(0)
+            texts.append(stream.read().decode().replace(str(out), "<out>"))
+    return proc.returncode, *texts, usage.ru_maxrss / 1024
 
 
 def main(rev: str) -> int:
@@ -137,17 +153,21 @@ def main(rev: str) -> int:
         commands = [(argv, 0) for argv in commands] + REFUSALS
         commands.append((write_config(tmp / "dicke_with_g.json", DICKE_WITH_G), 2))
 
-        problems = []
+        problems, rss = [], []
         n_files = n_same = 0
         for i, (argv, expected) in enumerate(commands):
             outs = {side: tmp / side.replace(" ", "_") / str(i) for side in trees}
             results = {side: run(src, argv, outs[side]) for side, src in trees.items()}
             name = " ".join(argv).replace(str(tmp), "<tmp>")
-            codes = [code for code, _, _ in results.values()]
+            codes = [result[0] for result in results.values()]
             if any(code != expected for code in codes):
                 problems.append(f"{name}: exit codes {codes}, expected {expected}")
-                for _, _, stderr in results.values():
-                    sys.stderr.write(stderr)
+                for result in results.values():
+                    sys.stderr.write(result[2])
+            peaks = [result[3] for result in results.values()]
+            if codes == [0, 0] and abs(peaks[0] - peaks[1]) > RSS_REPORT_MIB:
+                rss.append(f"{name}: peak RSS {rev} {peaks[0]:.1f} MiB,"
+                           f" working tree {peaks[1]:.1f} MiB")
             for k, stream in ((1, "stdout"), (2, "stderr")):
                 if len({result[k] for result in results.values()}) != 1:
                     problems.append(f"{name}: {stream} differs")
@@ -167,6 +187,8 @@ def main(rev: str) -> int:
                 else:
                     problems.append(f"{name}: {f} differs")
 
+    for line in rss:
+        print(f"RSS {line}")
     for line in problems:
         print(f"DIFF {line}")
     print(f"{n_same} of {n_files} files identical to {rev}, {len(commands)} commands,"

@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -82,16 +83,39 @@ class RunConfig:
 
 @dataclass
 class BlochTrajectory:
-    """Dense (theta, phi) samples on a uniform scaled-time grid over [0, t[-1]]."""
+    """(theta, phi) on a uniform scaled-time grid t over [0, t[-1]].
+
+    The angles are evaluated on demand: angles(lo, hi) gives them on rows
+    lo:hi, from a strong run's step record or a weak run's closed form, so
+    a run can hold them one block of rows at a time.  theta and phi
+    evaluate the whole grid.
+    """
 
     sample_params: SampleParams
     t: np.ndarray
-    theta: np.ndarray
-    phi: np.ndarray
+    angles: Callable[[int, int], tuple[np.ndarray, np.ndarray]]
     stats: IntegratorStats
+
+    @classmethod
+    def of_arrays(cls, p: SampleParams, t, theta, phi, stats: IntegratorStats):
+        """A trajectory that holds the given angle samples."""
+        return cls(p, t, lambda lo, hi: (theta[lo:hi], phi[lo:hi]), stats)
 
     def __len__(self) -> int:
         return len(self.t)
+
+    @property
+    def theta(self) -> np.ndarray:
+        return self.angles(0, len(self))[0]
+
+    @property
+    def phi(self) -> np.ndarray:
+        return self.angles(0, len(self))[1]
+
+    def rows(self, lo: int, hi: int) -> BlochTrajectory:
+        """Rows lo:hi, their angles evaluated once and held."""
+        theta, phi = self.angles(lo, hi)
+        return BlochTrajectory.of_arrays(self.sample_params, self.t[lo:hi], theta, phi, self.stats)
 
 
 def default_initial_state(p: SampleParams) -> BlochState:

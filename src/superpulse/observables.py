@@ -21,7 +21,9 @@ def emission_arrays(traj: BlochTrajectory) -> tuple[np.ndarray, np.ndarray, np.n
     the angle observables: the energy ((1+alpha)/2) cos(theta) and the
     intensity (1/4) N (N-1) (1+alpha)^2 sin(theta)^2 sin(phi)^2, whose
     sin(phi)^2 factor carves the superpulse comb out of the envelope.
-    Weak-like ones use the closed forms on the same grid.
+    Weak-like ones use the closed forms on the same grid.  The angles are
+    evaluated once, over the whole trajectory; a run maps one block of
+    rows at a time (BlochTrajectory.rows).
     """
     p = traj.sample_params
     if p.regime.is_weak_like():
@@ -29,15 +31,16 @@ def emission_arrays(traj: BlochTrajectory) -> tuple[np.ndarray, np.ndarray, np.n
     d = derive_params(p)
     n = float(d.n_atoms)
     enh = 1.0 + d.alpha
-    energy = np.cos(traj.theta)
+    theta, phi = traj.angles(0, len(traj))
+    energy = np.cos(theta)
     energy *= enh / 2.0
     # block by block, so only the output columns grow with the grid
     scale = 0.25 * n * (n - 1.0) * enh * enh
-    intensity = np.empty(len(traj.theta))
+    intensity = np.empty(len(theta))
     for lo in range(0, len(intensity), rk._BLOCK):
         block = slice(lo, lo + rk._BLOCK)
-        st = np.sin(traj.theta[block])
-        sp = np.sin(traj.phi[block])
+        st = np.sin(theta[block])
+        sp = np.sin(phi[block])
         out = intensity[block]
         np.multiply(scale, st, out=out)
         out *= st

@@ -14,10 +14,11 @@ Python 3.12, whose sum() compensates), so results do not depend on the
 interpreter version.
 
 Every accepted step is recorded (start time, size, state and stages).
-After stepping, the pair's matched quartic dense-output polynomial is
-evaluated on the caller-supplied output grid in fixed blocks of points,
+dense_output evaluates the pair's matched quartic dense-output polynomial
+of that record on any rows of an output grid, in fixed blocks of points,
 so interpolated values carry the same accuracy as the step endpoints, and
-they depend only on the step sequence, never on the grid or the blocks.
+they depend only on the step sequence, never on the grid, the rows or the
+blocks.
 """
 from __future__ import annotations
 
@@ -72,34 +73,34 @@ _BLOCK = 1 << 16
 
 @dataclass
 class RKResult:
-    grid_values: list[np.ndarray]   # one array per state component, on the grid
     n_accepted: int
     n_rejected: int
     max_error_ratio: float          # largest accepted scaled error (1.0 = at tolerance)
     step_times: np.ndarray          # initial time, then the end of every accepted step
     step_values: list[np.ndarray]   # one array per state component, at step_times
+    step_sizes: np.ndarray          # one per accepted step
+    stages: np.ndarray              # (accepted step, stage, component)
 
 
 def solve(
     rhs: Callable[..., tuple],
     y0: Sequence[float],
-    grid: np.ndarray,
+    t_end: float,
     rtol: float,
     atol: float,
     max_step: float,
     max_steps: float = math.inf,
 ) -> RKResult:
-    """Integrate dy/dt = rhs(t, *y) from t=0 to t_end = grid[-1] over the given grid.
+    """Integrate dy/dt = rhs(t, *y) from t=0 to t_end and record every accepted step.
 
-    grid must be sorted and start at 0.  rhs receives the time followed by
-    the unpacked state components and returns the derivative tuple.  The
-    result also carries every accepted step, led by the initial point.  A
-    run that needs more than max_steps accepted steps raises
-    IntegrationFailure.
+    rhs receives the time followed by the unpacked state components and
+    returns the derivative tuple.  The step record, led by the initial
+    point, is what dense_output evaluates on a grid.  A run that needs
+    more than max_steps accepted steps raises IntegrationFailure.
     """
     ndim = len(y0)
     step = _step_kernel(ndim)
-    t_end = float(grid[-1])
+    t_end = float(t_end)
     y = tuple(float(v) for v in y0)
     t = 0.0
     f = rhs(t, *y)
@@ -159,14 +160,7 @@ def solve(
     step_times = np.append(rec[:, 0], t)
     step_values = [np.append(rec[:, 2 + i], y[i]) for i in range(ndim)]
     stages = rec[:, 2 + ndim:].reshape(n_acc, 7, ndim)
-    return RKResult(
-        _dense_output(grid, step_times, rec[:, 1], step_values, stages),
-        n_acc,
-        n_rej,
-        max_err,
-        step_times,
-        step_values,
-    )
+    return RKResult(n_acc, n_rej, max_err, step_times, step_values, rec[:, 1], stages)
 
 
 def _step_source(ndim: int) -> str:
@@ -211,34 +205,41 @@ def _step_kernel(ndim: int):
     return namespace["step"]
 
 
-def _dense_output(grid, step_times, h, step_values, stages) -> list[np.ndarray]:
-    """Evaluate the quartic interpolant of the recorded steps on the grid.
+def dense_output(res: RKResult, grid: np.ndarray, lo: int = 0, hi: int | None = None
+                 ) -> list[np.ndarray]:
+    """The quartic interpolant of res's steps on rows lo:hi of the grid, one array per component.
 
-    Each grid point after the first takes the first step whose interval
-    (t, t + h] contains it.  The arithmetic is the scalar formula
+    grid is sorted and its row 0, at t = 0, takes the initial state.  Each
+    later point takes the first step whose interval (t, t + h] contains
+    it.  The arithmetic is the scalar formula
     y + h*s*(q0 + s*(q1 + s*(q2 + s*q3))) with s = (t_grid - t)/h and
     q_c = sum_j k_j*P[j][c] summed left to right, one ufunc per operation.
-    Each block of _BLOCK grid points reads only the steps it touches.
+    Each block of _BLOCK points reads only the steps it touches.
     """
-    outs = [np.empty(len(grid)) for _ in step_values]
-    for out, yi in zip(outs, step_values):
-        out[0] = yi[0]
-    for lo in range(1, len(grid), _BLOCK):
-        g = grid[lo:lo + _BLOCK]
-        idx = np.searchsorted(step_times[1:], g, side="left")
-        s = (g - step_times[idx]) / h[idx]
+    g = grid[lo:hi]
+    step_times, h, stages = res.step_times, res.step_sizes, res.stages
+    outs = [np.empty(len(g)) for _ in res.step_values]
+    first = 0
+    if lo == 0 and len(g):
+        for out, yi in zip(outs, res.step_values):
+            out[0] = yi[0]
+        first = 1
+    for start in range(first, len(g), _BLOCK):
+        gb = g[start:start + _BLOCK]
+        idx = np.searchsorted(step_times[1:], gb, side="left")
+        s = (gb - step_times[idx]) / h[idx]
         hs = h[idx] * s
         # the block lies in steps k0 .. k1 - 1; index them from k0
         k0, k1 = idx[0], idx[-1] + 1
         idx -= k0
-        for i, (out, yi) in enumerate(zip(outs, step_values)):
+        for i, (out, yi) in enumerate(zip(outs, res.step_values)):
             q = []
             for c in range(4):
                 qc = 0.0
                 for j in range(7):
                     qc = qc + stages[k0:k1, j, i] * _P[j][c]
                 q.append(qc)
-            acc = out[lo:lo + _BLOCK]  # a view: Horner in place, one rounding per operation
+            acc = out[start:start + _BLOCK]  # a view: Horner in place, one rounding per operation
             np.multiply(s, q[3][idx], out=acc)
             acc += q[2][idx]
             acc *= s

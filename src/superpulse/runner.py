@@ -13,11 +13,14 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import deque
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
+from . import rk
 from .bloch import (
     BlochState,
     BlochTrajectory,
@@ -48,7 +51,10 @@ ORACLE_HEADER = "gamma_t,mean_m,intensity_over_gamma_omega0"
 FORMATS = ("csv", "json")
 
 # rows per formatted CSV block: the formatter's temporaries take about 190 bytes
-# per value; 800 rows formatted fastest, and 2,000 fell off a cache cliff
+# per value, and 800 rows formatted fastest.  Larger blocks were slower from page
+# faults, not the cache: glibc can hand a block's freed temporaries back to the
+# kernel, and the next block faults them in again (about 370 minor faults per
+# 2,000-row block, none with a raised MALLOC_MMAP_THRESHOLD_ and TRIM_THRESHOLD_)
 _CSV_BLOCK_ROWS = 800
 
 MEASUREMENT_DEFINITIONS = {
@@ -266,16 +272,13 @@ def load_config(path: str | Path, **overrides) -> list[RunConfig]:
 # ---------------------------------------------------------------------------
 # serialization
 
-def _atomic_write(path: Path, chunks):
-    """Write the byte chunks to path, or nothing if writing or a chunk fails."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
-    # mode 0o666 under the umask, as open() would give the file itself
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+@contextmanager
+def _staged(path: Path):
+    """A fresh name beside path: renamed to path when the body returns, removed when it raises."""
+    # not derived from path's name, so a name that fits still fits with the suffix
+    tmp = path.with_name(f".{os.urandom(8).hex()}.tmp")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
+        yield tmp
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -283,21 +286,36 @@ def _atomic_write(path: Path, chunks):
         raise
 
 
+def _atomic_write(path: Path, chunks):
+    """Write the byte chunks to path, or nothing if writing or a chunk fails."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with _staged(path) as tmp:
+        # mode 0o666 under the umask, as open() would give the file itself
+        with os.fdopen(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+
+
 def _write_json(path: Path, doc: dict):
     _atomic_write(path, [(json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()])
 
 
-def write_trajectory_csv(path: Path, *columns, header: str = TRAJECTORY_HEADER):
-    """One header line, then one row per sample, each value as ``'%.17g' % v``."""
-    if len({len(c) for c in columns}) > 1:
-        raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
+def write_trajectory_csv(path: Path, blocks, header: str = TRAJECTORY_HEADER):
+    """One header line, then one row per sample, each value as ``'%.17g' % v``.
 
+    blocks yields the rows in order, each block a tuple of equal-length
+    columns; they are formatted _CSV_BLOCK_ROWS rows at a time.
+    """
     def chunks():
         yield (header + "\n").encode()
         # the whole run is never stacked into one array or held as text
-        for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-            stop = start + _CSV_BLOCK_ROWS
-            yield format_rows(np.column_stack([c[start:stop] for c in columns]))
+        for columns in blocks:
+            if len({len(c) for c in columns}) > 1:
+                raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
+            for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+                stop = start + _CSV_BLOCK_ROWS
+                yield format_rows(np.column_stack([c[start:stop] for c in columns]))
+            del columns  # freed before the next block is made
 
     _atomic_write(path, chunks())
 
@@ -337,7 +355,7 @@ def write_oracle(out_dir: str | Path, run: LadderRun) -> Path:
     }
     out_dir = Path(out_dir)
     csv_path = out_dir / f"oracle_n{run.n_atoms}_trajectory.csv"
-    write_trajectory_csv(csv_path, run.t, run.mean_m, run.intensity, header=ORACLE_HEADER)
+    write_trajectory_csv(csv_path, [(run.t, run.mean_m, run.intensity)], header=ORACLE_HEADER)
     _write_json(out_dir / f"oracle_n{run.n_atoms}_summary.json", summary)
     return csv_path
 
@@ -382,13 +400,28 @@ def execute(cfg: RunConfig) -> RunResult:
     else:
         traj = integrate_strong(cfg)
 
-    t, energy, intensity = emission_arrays(traj)
-    metrics = compute_metrics(t, intensity, d)
+    # one pass: each block of rows is filled once, mapped and written, and
+    # only t and the intensity the analysis needs are kept whole
+    intensity = np.empty(len(traj))
+
+    def blocks():
+        for lo in range(0, len(traj), rk._BLOCK):
+            rows = traj.rows(lo, lo + rk._BLOCK)
+            t, energy, block = emission_arrays(rows)
+            intensity[lo:lo + rk._BLOCK] = block
+            yield t, rows.theta, rows.phi, energy, block
+            del rows, energy, block  # freed before the next block is filled
 
     traj_path = metrics_path = None
     if "csv" in cfg.formats:
         traj_path = cfg.out_dir / f"{cfg.label}_trajectory.csv"
-        write_trajectory_csv(traj_path, t, traj.theta, traj.phi, energy, intensity)
+        # the CSV keeps a staged name until the analysis has succeeded
+        with _staged(traj_path) as staged:
+            write_trajectory_csv(staged, blocks())
+            metrics = compute_metrics(traj.t, intensity, d)
+    else:
+        deque(blocks(), maxlen=0)  # keeps no block, unlike a for loop's variable
+        metrics = compute_metrics(traj.t, intensity, d)
     if "json" in cfg.formats:
         metrics_path = cfg.out_dir / f"{cfg.label}_metrics.json"
         _write_json(metrics_path, _metrics_doc(cfg, d, metrics, traj))

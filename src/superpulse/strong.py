@@ -36,8 +36,10 @@ def _make_rhs(d: DerivedParams):
 def integrate_strong(cfg: RunConfig) -> BlochTrajectory:
     """Integrate the strong-coupling angle equations from cfg.init over [0, cfg.t_end].
 
-    The sample budget cfg.integration.max_samples also caps the accepted
-    steps, so a stiff window cannot run for hours on a small grid.
+    The trajectory keeps the integrator's step record and evaluates the
+    angles from it on demand.  The sample budget cfg.integration.max_samples
+    also caps the accepted steps, so a stiff window cannot run for hours on
+    a small grid.
     """
     p, ctrl = cfg.params, cfg.integration
     if p.regime.is_weak_like():
@@ -47,19 +49,19 @@ def integrate_strong(cfg: RunConfig) -> BlochTrajectory:
     res = rk.solve(
         _make_rhs(d),
         (cfg.init.theta, cfg.init.phi),
-        grid,
+        grid[-1],
         rtol=ctrl.rtol,
         atol=ctrl.atol,
         max_step=fast_phase_max_step(d, ctrl),
         max_steps=ctrl.max_samples,
     )
-    theta, phi = res.grid_values
-    # in place: the integrator hands over arrays it no longer uses
-    np.clip(theta, 0.0, math.pi, out=theta)
+
+    def angles(lo, hi):
+        theta, phi = rk.dense_output(res, grid, lo, hi)
+        # in place: the interpolant hands over fresh arrays
+        np.clip(theta, 0.0, math.pi, out=theta)
+        return theta, phi
+
     return BlochTrajectory(
-        sample_params=p,
-        t=grid,
-        theta=theta,
-        phi=phi,
-        stats=IntegratorStats(res.n_accepted, res.n_rejected, res.max_error_ratio),
+        p, grid, angles, IntegratorStats(res.n_accepted, res.n_rejected, res.max_error_ratio)
     )

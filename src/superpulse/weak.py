@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bloch import BlochTrajectory, IntegratorStats, RunConfig, output_grid
+from .bloch import BlochTrajectory, IntegratorStats, RunConfig, default_initial_state, output_grid
 from .errors import ParameterDomainError
 from .params import DerivedParams, SampleParams, derive_params
 
@@ -61,17 +61,20 @@ def sample_weak_solution(cfg: RunConfig) -> BlochTrajectory:
     """Evaluate the closed form, from cfg.init.phi, on the output grid over [0, cfg.t_end].
 
     This is the production path for weak-like runs; no integration error
-    is involved, so the stats report zero steps.
+    is involved, so the stats report zero steps.  The closed form starts at
+    default_initial_state's angle, so a config with another init.theta is
+    refused by naming theta0.  The angles are evaluated on demand.
     """
-    p = cfg.params
+    p, phi0 = cfg.params, cfg.init.phi
     if not p.regime.is_weak_like():
         raise ParameterDomainError("regime", "a strong run takes integrate_strong")
+    theta0 = default_initial_state(p).theta
+    if cfg.init.theta != theta0:
+        raise ParameterDomainError(
+            "theta0", f"a {p.regime.value} run starts on the closed form at {theta0!r};"
+            f" got {cfg.init.theta!r}"
+        )
     grid = output_grid(cfg.t_end, derive_params(p), cfg.integration)
-    theta, phi = weak_angles(p, grid, cfg.init.phi)
     return BlochTrajectory(
-        sample_params=p,
-        t=grid,
-        theta=theta,
-        phi=phi,
-        stats=IntegratorStats(0, 0, 0.0),
+        p, grid, lambda lo, hi: weak_angles(p, grid[lo:hi], phi0), IntegratorStats(0, 0, 0.0)
     )

@@ -139,13 +139,13 @@ def test_trajectory_csv_is_header_then_rows(tmp_path):
     n = 2 * runner._CSV_BLOCK_ROWS + 7
     columns = [rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n) for _ in range(3)]
     path = tmp_path / "t.csv"
-    runner.write_trajectory_csv(path, *columns, header="a,b,c")
+    runner.write_trajectory_csv(path, [columns], header="a,b,c")
     assert path.read_bytes() == b"a,b,c\n" + expected(np.column_stack(columns))
-    runner.write_trajectory_csv(path, np.zeros(0), header="a")
+    runner.write_trajectory_csv(path, [(np.zeros(0),)], header="a")
     assert path.read_bytes() == b"a\n"
     # a first column ending on a block boundary must not cut the others short
     with pytest.raises(ValueError, match="differ in length"):
-        runner.write_trajectory_csv(path, columns[0][:n - 7], columns[1][:n - 6], header="a,b")
+        runner.write_trajectory_csv(path, [(columns[0][:n - 7], columns[1][:n - 6])], header="a,b")
     assert path.read_bytes() == b"a\n"
 
 
@@ -155,7 +155,7 @@ def test_trajectory_csv_at_block_edges(tmp_path, n):
     columns = [rng.standard_normal(n) * 10.0 ** rng.integers(-20, 21, n) for _ in range(5)]
     columns[2][::97] = 0.0
     path = tmp_path / "t.csv"
-    runner.write_trajectory_csv(path, *columns, header="a,b,c,d,e")
+    runner.write_trajectory_csv(path, [columns], header="a,b,c,d,e")
     assert path.read_bytes() == b"a,b,c,d,e\n" + expected(np.column_stack(columns))
 
 
@@ -171,10 +171,10 @@ def test_trajectory_csv_peak_memory_is_one_block(tmp_path, blocks):
     rng = np.random.default_rng(blocks)
     columns = [rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n) for _ in range(5)]
     path = tmp_path / "t.csv"
-    runner.write_trajectory_csv(path, *columns)    # builds the cached tables
+    runner.write_trajectory_csv(path, [columns])    # builds the cached tables
     tracemalloc.start()
     try:
-        runner.write_trajectory_csv(path, *columns)
+        runner.write_trajectory_csv(path, [columns])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -28,8 +28,8 @@ P_DICKE = SampleParams(10_000, 1e6, 0.0, regime=Regime.DICKE_LIMIT)
 def strong_trajectory(theta, phi, p=P_DENSE) -> BlochTrajectory:
     """A strong-regime trajectory holding the given angle samples."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    return BlochTrajectory(
-        sample_params=p,
+    return BlochTrajectory.of_arrays(
+        p,
         t=np.zeros(len(theta)),
         theta=theta,
         phi=np.broadcast_to(np.asarray(phi, dtype=float), theta.shape),

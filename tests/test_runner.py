@@ -5,7 +5,8 @@ import stat
 import subprocess
 import sys
 import tempfile
-from dataclasses import FrozenInstanceError
+import tracemalloc
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from superpulse import (
     derive_params,
     evolve_ladder,
     integrate_strong,
+    rk,
     runner,
 )
 from superpulse.cli import main
@@ -563,7 +565,7 @@ def test_failed_csv_block_leaves_no_file(tmp_path, monkeypatch):
     n = 2 * runner._CSV_BLOCK_ROWS + 1
     path = tmp_path / "traj.csv"
     with pytest.raises(RuntimeError, match="formatter failed"):
-        runner.write_trajectory_csv(path, np.arange(n, dtype=float), np.ones(n))
+        runner.write_trajectory_csv(path, [(np.arange(n, dtype=float), np.ones(n))])
     assert blocks == [runner._CSV_BLOCK_ROWS] * 2
     assert not list(tmp_path.iterdir())
 
@@ -671,6 +673,53 @@ def test_library_run_is_the_preset_run(tmp_path):
     _, theta, phi, _, _ = read_trajectory_csv(result.trajectory_path)
     for a, b in ((theta, traj.theta), (phi, traj.phi)):
         assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _execute_peak(cfg: RunConfig) -> tuple[int, int]:
+    """(samples, traced peak bytes) of runner.execute on cfg."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = runner.execute(cfg)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return json.loads(result.metrics_path.read_text())["samples"], peak
+
+
+def test_run_peak_memory_is_t_intensity_and_a_few_blocks(tmp_path):
+    # fig5 keeps 1.01M samples: a run holds t and the intensity whole, and
+    # theta, phi, energy and the CSV's text one block at a time
+    n, peak = _execute_peak(resolve(PRESETS["fig5"], "fig5", out_dir=tmp_path))
+    assert n > 10**6
+    assert peak <= 2 * 8 * n + 6 * 2**20, f"{peak / 2**20:.2f} MiB"
+
+
+def test_weak_run_peak_memory_is_t_intensity_and_a_few_blocks(tmp_path):
+    # fig7 over 60 times its default window: the closed forms' temporaries
+    # are one block's, not the grid's
+    t_end = 60 * resolve(PRESETS["fig7"], "fig7").t_end
+    cfg = resolve(PRESETS["fig7"], "fig7", out_dir=tmp_path, t_end=t_end)
+    n, peak = _execute_peak(replace(cfg, formats=("json",)))
+    assert n == 1_705_242
+    assert peak <= 2 * 8 * n + 6 * 2**20, f"{peak / 2**20:.2f} MiB"
+
+
+def test_run_fills_every_row_once(tmp_path, monkeypatch):
+    rows = []
+    dense_output = rk.dense_output
+
+    def counted(res, grid, lo=0, hi=None):
+        values = dense_output(res, grid, lo, hi)
+        rows.append(len(values[0]))
+        return values
+
+    monkeypatch.setattr(rk, "dense_output", counted)
+    monkeypatch.setattr(rk, "_BLOCK", 4096)  # fig2's 56,849 rows in 14 blocks
+    result = run_preset("fig2", out_dir=tmp_path)
+    samples = json.loads(result.metrics_path.read_text())["samples"]
+    assert len(rows) > 1
+    assert sum(rows) == samples
 
 
 def test_cli_budget_error_prints_a_short_count(tmp_path, capsys):

@@ -140,6 +140,14 @@ def test_closed_form_refuses_a_strong_config():
         sample_weak_solution(resolve(P_DENSE))
 
 
+def test_closed_form_refuses_another_start_angle():
+    # the closed form starts at the default angle; a config built with
+    # another theta is refused by the name parse_config gives it
+    cfg = resolve(P_DICKE, t_end=1e-4)
+    with pytest.raises(ParameterDomainError, match="^theta0: "):
+        sample_weak_solution(replace(cfg, init=BlochState(1.0, cfg.init.phi)))
+
+
 # --- ODE validation path ------------------------------------------------
 
 def test_ode_matches_rate_consistent_closed_form():

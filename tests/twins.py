@@ -82,7 +82,7 @@ def _solve(cfg: RunConfig, make_rhs, to_state):
     res = rk.solve(
         make_rhs(d),
         to_state(cfg.init),
-        grid,
+        grid[-1],
         rtol=ctrl.rtol,
         atol=ctrl.atol,
         max_step=fast_phase_max_step(d, ctrl),
@@ -93,7 +93,7 @@ def _solve(cfg: RunConfig, make_rhs, to_state):
 
 def _trajectory(cfg, grid, theta, phi, res, norm_drift=None) -> BlochTrajectory:
     stats = IntegratorStats(res.n_accepted, res.n_rejected, res.max_error_ratio, norm_drift)
-    return BlochTrajectory(cfg.params, grid, theta, phi, stats)
+    return BlochTrajectory.of_arrays(cfg.params, grid, theta, phi, stats)
 
 
 def integrate_cartesian(cfg: RunConfig) -> BlochTrajectory:
@@ -104,7 +104,7 @@ def integrate_cartesian(cfg: RunConfig) -> BlochTrajectory:
     with a RuntimeWarning but the trajectory is still returned.
     """
     grid, res = _solve(cfg, make_cartesian_rhs, cartesian_state)
-    sx, sy, sz = res.grid_values
+    sx, sy, sz = rk.dense_output(res, grid)
     r = np.sqrt(sx * sx + sy * sy + sz * sz)
     theta = np.arccos(np.clip(sz / r, -1.0, 1.0))
     phi = np.unwrap(np.arctan2(sy, sx))
@@ -127,7 +127,7 @@ def integrate_cartesian(cfg: RunConfig) -> BlochTrajectory:
 def integrate_weak_ode(cfg: RunConfig) -> BlochTrajectory:
     """Numerically integrate the weak-coupling ODEs (cross-check of the closed form)."""
     grid, res = _solve(cfg, make_weak_rhs, lambda s: (s.theta, s.phi))
-    theta, phi = res.grid_values
+    theta, phi = rk.dense_output(res, grid)
     np.clip(theta, 0.0, math.pi, out=theta)
     return _trajectory(cfg, grid, theta, phi, res)
 
