@@ -9,7 +9,9 @@ Unpacks REV's src/ with `git archive`, then runs `simulate preset fig1`
 under the default sample budget), `simulate run --config` on the seed-1
 perfbench sweep config, the same config with `--t-end 3e-3 --phi0 0.25`,
 `simulate preset fig2 --t-end 2e-4 --theta0 0.01 --phi0 0.3 --rtol 1e-8`,
-`simulate preset fig7 --t-end 1e-3 --phi0 0.5`, two configs that override
+`simulate preset fig7 --t-end 1e-3 --phi0 0.5`, `simulate preset fig7
+--t-end 0.17052408446371423` (60 times fig7's window, 1.71M rows whose
+intensity is mostly zeros and subnormals), two configs that override
 the regime classifier (CLASSIFIER_OVERRIDES: the weak closed form at
 fig1's parameters, the strong equations at a weak-classified point) and
 `simulate oracle --n 10` and `--n 100`, plus ten commands the program
@@ -146,6 +148,8 @@ def main(rev: str) -> int:
             ["preset", "fig2", "--t-end", "2e-4", "--theta0", "0.01", "--phi0", "0.3",
              "--rtol", "1e-8"],
             ["preset", "fig7", "--t-end", "1e-3", "--phi0", "0.5"],
+            # the CSV formatter's scalar path over most of 1.71M rows
+            ["preset", "fig7", "--t-end", "0.17052408446371423"],
         ]
         commands += [write_config(tmp / f"{label}.json", {"label": label, **doc})
                      for label, doc in CLASSIFIER_OVERRIDES.items()]

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -81,28 +82,87 @@ class RunConfig:
     formats: tuple[str, ...]
 
 
+class OutputGrid:
+    """np.linspace(0.0, t_end, n), made one row or one slice of rows at a time.
+
+    Every row is linspace's bit for bit: k * step + 0.0 with step =
+    t_end / (n - 1), or (k / (n - 1)) * t_end where that step underflows
+    to 0, and the last row is t_end itself.  A run holds its grid as these
+    two numbers; an int index is a Python float, a slice a float array and
+    np.asarray(grid) the whole grid.
+    """
+
+    ndim = 1
+
+    def __init__(self, t_end: float, n: int):
+        self.t_end = t_end
+        self.n = n
+        # linspace takes a one-row grid as 0 * t_end, so step = t_end gives its row too
+        self._step = t_end / (n - 1) if n > 1 else t_end
+        self._underflow = n > 1 and self._step == 0.0
+
+    def __len__(self) -> int:
+        return self.n
+
+    @property
+    def shape(self) -> tuple[int]:
+        return (self.n,)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            rows = range(self.n)[key]
+            t = np.arange(rows.start, rows.stop, rows.step, dtype=float)
+            if self._underflow:
+                t /= self.n - 1
+                t *= self.t_end
+            else:
+                t *= self._step
+            t += 0.0
+            if self.n > 1 and self.n - 1 in rows:
+                t[rows.index(self.n - 1)] = self.t_end
+            return t
+        k = operator.index(key)
+        if k < 0:
+            k += self.n
+        if not 0 <= k < self.n:
+            raise IndexError(f"row {key} of a grid of {self.n}")
+        if k == self.n - 1 > 0:
+            return self.t_end
+        if self._underflow:
+            return k / (self.n - 1) * self.t_end + 0.0
+        return k * self._step + 0.0
+
+    def __array__(self, dtype=None, copy=None):
+        return self[:] if dtype is None else self[:].astype(dtype, copy=False)
+
+
 @dataclass
 class BlochTrajectory:
-    """(theta, phi) on a uniform scaled-time grid t over [0, t[-1]].
+    """(theta, phi) on a uniform scaled-time grid over [0, t[-1]].
 
-    The angles are evaluated on demand: angles(lo, hi) gives them on rows
-    lo:hi, from a strong run's step record or a weak run's closed form, so
-    a run can hold them one block of rows at a time.  theta and phi
-    evaluate the whole grid.
+    grid is a run's OutputGrid, or an array of the times.  The angles are
+    evaluated on demand: angles(lo, hi) gives them on rows lo:hi, from a
+    strong run's step record or a weak run's closed form, so a run can
+    hold them, and the times, one block of rows at a time.  t, theta and
+    phi evaluate the whole grid.
     """
 
     sample_params: SampleParams
-    t: np.ndarray
+    grid: OutputGrid | np.ndarray
     angles: Callable[[int, int], tuple[np.ndarray, np.ndarray]]
     stats: IntegratorStats
 
     @classmethod
     def of_arrays(cls, p: SampleParams, t, theta, phi, stats: IntegratorStats):
-        """A trajectory that holds the given angle samples."""
+        """A trajectory that holds the given times and angle samples."""
         return cls(p, t, lambda lo, hi: (theta[lo:hi], phi[lo:hi]), stats)
 
     def __len__(self) -> int:
-        return len(self.t)
+        return len(self.grid)
+
+    @property
+    def t(self) -> np.ndarray:
+        return np.asarray(self.grid, dtype=float)
 
     @property
     def theta(self) -> np.ndarray:
@@ -113,9 +173,10 @@ class BlochTrajectory:
         return self.angles(0, len(self))[1]
 
     def rows(self, lo: int, hi: int) -> BlochTrajectory:
-        """Rows lo:hi, their angles evaluated once and held."""
+        """Rows lo:hi, their times and angles evaluated once and held."""
         theta, phi = self.angles(lo, hi)
-        return BlochTrajectory.of_arrays(self.sample_params, self.t[lo:hi], theta, phi, self.stats)
+        return BlochTrajectory.of_arrays(self.sample_params, self.grid[lo:hi], theta, phi,
+                                         self.stats)
 
 
 def default_initial_state(p: SampleParams) -> BlochState:
@@ -163,16 +224,15 @@ def default_t_end(p: SampleParams) -> float:
     return tau * (math.log(p.n_atoms) + 5.0)
 
 
-def output_grid(t_end: float, d: DerivedParams, ctrl: IntegrationControl) -> np.ndarray:
+def output_grid(t_end: float, d: DerivedParams, ctrl: IntegrationControl) -> OutputGrid:
     """Uniform output grid on [0, t_end].
 
     Target spacing is min(tau_1_pred/10, tau_c_pred/1000); if that blows
     the sample budget the grid decimates down to 10 samples per
-    tau_1_pred, and past that the request is refused.
+    tau_1_pred, and past that the request is refused.  A zero window is
+    the one sample t = 0.
     """
-    check_finite("t_end", t_end, positive=False)
-    if t_end == 0.0:
-        return np.zeros(1)
+    t_end = check_finite("t_end", t_end, positive=False)
     spacing = min(d.tau_1_pred / 10.0, d.tau_c_pred / 1000.0)
     # ceil(x) + 1 > max_samples exactly when x > max_samples - 1; comparing
     # the quotient x itself also holds when it lies past float range
@@ -181,7 +241,7 @@ def output_grid(t_end: float, d: DerivedParams, ctrl: IntegrationControl) -> np.
         n = t_end / spacing
         if n > ctrl.max_samples - 1:
             raise SampleBudgetError(math.ceil(n) + 1 if is_finite(n) else n, ctrl.max_samples)
-    return np.linspace(0.0, t_end, math.ceil(t_end / spacing) + 1)
+    return OutputGrid(t_end, math.ceil(t_end / spacing) + 1)
 
 
 def fast_phase_max_step(d: DerivedParams, ctrl: IntegrationControl) -> float:

@@ -89,7 +89,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ParameterDomainError, ConfigError, EmptyAnalysisError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    # a sample budget past memory ends in numpy's MemoryError when the grid is allocated
+    # a sample budget past memory ends in numpy's MemoryError when the intensity is allocated
     except (IntegrationFailure, SampleBudgetError, StepSizeError, MemoryError) as exc:
         print(f"integration error: {exc}", file=sys.stderr)
         return EXIT_INTEGRATION

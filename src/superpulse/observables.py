@@ -26,8 +26,9 @@ def emission_arrays(traj: BlochTrajectory) -> tuple[np.ndarray, np.ndarray, np.n
     rows at a time (BlochTrajectory.rows).
     """
     p = traj.sample_params
+    t = traj.t
     if p.regime.is_weak_like():
-        return traj.t, weak.weak_energy(p, traj.t), weak.weak_intensity(p, traj.t)
+        return t, weak.weak_energy(p, t), weak.weak_intensity(p, t)
     d = derive_params(p)
     n = float(d.n_atoms)
     enh = 1.0 + d.alpha
@@ -46,5 +47,5 @@ def emission_arrays(traj: BlochTrajectory) -> tuple[np.ndarray, np.ndarray, np.n
         out *= st
         out *= sp
         out *= sp
-    return traj.t, energy, intensity
+    return t, energy, intensity
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rk
+from .bloch import OutputGrid
 from .errors import EmptyAnalysisError, ParameterDomainError
 from .params import DerivedParams
 
@@ -26,11 +27,6 @@ SECH2_FWHM_FACTOR = 2.0 * math.acosh(math.sqrt(2.0))
 
 # reject resampling ripple without suppressing genuine comb teeth
 PROMINENCE_FRACTION = 1e-3
-
-NO_EMISSION = (
-    "emission record is identically zero: nothing to analyse"
-    " (an initial state on a pole of the Bloch sphere never emits)"
-)
 
 
 @dataclass(frozen=True)
@@ -52,32 +48,48 @@ class PulseMetrics:
     ratios: dict[str, float]        # measured/predicted per metric
 
 
-def _as_arrays(t, y) -> tuple[np.ndarray, np.ndarray]:
-    """t and y as float arrays, checked to be a non-empty uniformly gridded record."""
-    t = np.asarray(t, dtype=float)
+def _times(t):
+    """t as a float array; an OutputGrid stays one and is read by row and by block."""
+    return t if isinstance(t, OutputGrid) else np.asarray(t, dtype=float)
+
+
+def _as_arrays(t, y):
+    """t and y checked to be a non-empty record on a uniform time grid, y as a float array."""
+    t = _times(t)
     y = np.asarray(y, dtype=float)
     if t.ndim != 1 or t.shape != y.shape:
         raise ParameterDomainError(
             "y", f"must be a 1-D record of the shape of t; got t {t.shape}, y {y.shape}"
         )
-    if t.size == 0:
+    n = len(t)
+    if n == 0:
         raise EmptyAnalysisError("no emission records to analyse")
-    if t.size >= 3:
+    if not (math.isfinite(t[0]) and math.isfinite(t[-1])):
+        raise ParameterDomainError("t", "must be finite and strictly increasing")
+    if n >= 2:
         # spacing extremes block by block: no full-length diff is formed
         lows, highs = [], []
-        for lo in range(0, t.size - 1, rk._BLOCK):
+        for lo in range(0, n - 1, rk._BLOCK):
             dt = np.diff(t[lo:lo + rk._BLOCK + 1])
             lows.append(dt.min())
             highs.append(dt.max())
         low, high = np.min(lows), np.max(highs)
-        if low <= 0 or (high - low) > 1e-6 * (t[-1] - t[0]) / (t.size - 1):
+        # a NaN spacing makes low NaN; finite ends and positive steps bound every sample
+        if not low > 0:
+            raise ParameterDomainError("t", "must be finite and strictly increasing")
+        if high - low > 1e-6 * (t[-1] - t[0]) / (n - 1):
             raise ParameterDomainError("t", "must be a uniform time grid")
     return t, y
 
 
 def _local_maxima(y: np.ndarray) -> np.ndarray:
-    """Strict-left, non-strict-right three-point maxima (plateau keeps first)."""
-    return np.where((y[1:-1] > y[:-2]) & (y[1:-1] >= y[2:]))[0] + 1
+    """Strict-left, non-strict-right three-point maxima (plateau keeps first), block by block."""
+    found = [np.empty(0, dtype=np.intp)]
+    for lo in range(1, len(y) - 1, rk._BLOCK):
+        hi = min(lo + rk._BLOCK, len(y) - 1)
+        mid = y[lo:hi]
+        found.append(np.flatnonzero((mid > y[lo - 1:hi - 1]) & (mid >= y[lo + 1:hi + 1])) + lo)
+    return np.concatenate(found)
 
 
 def _prominences(y: np.ndarray, peaks: np.ndarray) -> np.ndarray:
@@ -153,7 +165,11 @@ def find_superpulses(t, y) -> list[Superpulse]:
     if gmin < 0.0:
         raise ParameterDomainError("y", f"must be non-negative; its minimum is {gmin}")
     if gmax <= 0.0:
-        raise EmptyAnalysisError(NO_EMISSION)
+        raise EmptyAnalysisError(
+            "emission record is identically zero: nothing to analyse (the intensity"
+            " underflows to 0 at every sample, as in a window too short to leave a start"
+            " near a pole)"
+        )
 
     idx = _local_maxima(y)
     if len(idx):
@@ -184,7 +200,7 @@ def envelope(t, y, pulses: list[Superpulse]) -> tuple[np.ndarray, np.ndarray]:
     returned in that case.
     """
     if len(pulses) <= 1:
-        return np.asarray(t, dtype=float), np.asarray(y, dtype=float)
+        return _times(t), np.asarray(y, dtype=float)
     return (
         np.array([p.t_peak for p in pulses]),
         np.array([p.height for p in pulses]),

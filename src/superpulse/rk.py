@@ -66,9 +66,11 @@ _PI_BETA = 0.04
 
 _MAX_CONSECUTIVE_REJECTS = 64
 
-# grid points per block of the dense path (fill, observables, grid check):
-# its temporaries stay this size while the output columns grow with the grid
-_BLOCK = 1 << 16
+# grid points per block of the dense path (grid rows, fill, observables, CSV
+# columns, pulse grid check and maxima): a run holds about a dozen arrays of
+# this size beside its intensity, so a smaller block lowers the peak until
+# the per-block Python overhead shows
+_BLOCK = 1 << 14
 
 
 @dataclass

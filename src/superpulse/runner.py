@@ -28,6 +28,7 @@ from .bloch import (
     RunConfig,
     default_initial_state,
     default_t_end,
+    output_grid,
 )
 from ._g17 import format_rows
 from .errors import ConfigError, EmptyAnalysisError, ParameterDomainError, SampleBudgetError
@@ -35,7 +36,6 @@ from .ladder import LadderRun
 from .observables import emission_arrays
 from .params import DerivedParams, Regime, SampleParams, derive_params
 from .pulses import (
-    NO_EMISSION,
     PROMINENCE_FRACTION,
     SECH2_FWHM_FACTOR,
     PulseMetrics,
@@ -56,6 +56,11 @@ FORMATS = ("csv", "json")
 # kernel, and the next block faults them in again (about 370 minor faults per
 # 2,000-row block, none with a raised MALLOC_MMAP_THRESHOLD_ and TRIM_THRESHOLD_)
 _CSV_BLOCK_ROWS = 800
+
+NO_EMISSION = (
+    "emission record is identically zero: nothing to analyse"
+    " (an initial state on a pole of the Bloch sphere never emits)"
+)
 
 MEASUREMENT_DEFINITIONS = {
     "envelope": "piecewise-linear interpolation through superpulse peaks",
@@ -387,6 +392,27 @@ def _metrics_doc(
 # ---------------------------------------------------------------------------
 # execution
 
+@contextmanager
+def _removed_if_empty(directory: Path):
+    """When the body raises, remove directory and each parent that did not exist before it.
+
+    Deepest first, and each only while it is empty: never a file.
+    """
+    made = []
+    while not os.path.exists(directory) and directory != directory.parent:
+        made.append(directory)
+        directory = directory.parent
+    try:
+        yield
+    except BaseException:
+        for path in made:  # deepest first; a directory that holds anything stays
+            try:
+                os.rmdir(path)
+            except OSError:
+                break
+        raise
+
+
 def execute(cfg: RunConfig) -> RunResult:
     """Run one resolved configuration and write the files its formats name."""
     p = cfg.params
@@ -395,36 +421,38 @@ def execute(cfg: RunConfig) -> RunResult:
     # the pulse analysis would otherwise measure roundoff
     if cfg.init.theta in (0.0, math.pi):
         raise EmptyAnalysisError(NO_EMISSION)
+    # the one full-length array of a run, made before any step: a grid past
+    # memory fails here at once
+    intensity = np.empty(len(output_grid(cfg.t_end, d, cfg.integration)))
     if p.regime.is_weak_like():
         traj = sample_weak_solution(cfg)
     else:
         traj = integrate_strong(cfg)
 
-    # one pass: each block of rows is filled once, mapped and written, and
-    # only t and the intensity the analysis needs are kept whole
-    intensity = np.empty(len(traj))
-
+    # one pass: each block of rows is made once, mapped and written, and
+    # only the intensity the analysis needs is kept whole
     def blocks():
         for lo in range(0, len(traj), rk._BLOCK):
             rows = traj.rows(lo, lo + rk._BLOCK)
             t, energy, block = emission_arrays(rows)
             intensity[lo:lo + rk._BLOCK] = block
             yield t, rows.theta, rows.phi, energy, block
-            del rows, energy, block  # freed before the next block is filled
+            del rows, t, energy, block  # freed before the next block is made
 
     traj_path = metrics_path = None
-    if "csv" in cfg.formats:
-        traj_path = cfg.out_dir / f"{cfg.label}_trajectory.csv"
-        # the CSV keeps a staged name until the analysis has succeeded
-        with _staged(traj_path) as staged:
-            write_trajectory_csv(staged, blocks())
-            metrics = compute_metrics(traj.t, intensity, d)
-    else:
-        deque(blocks(), maxlen=0)  # keeps no block, unlike a for loop's variable
-        metrics = compute_metrics(traj.t, intensity, d)
-    if "json" in cfg.formats:
-        metrics_path = cfg.out_dir / f"{cfg.label}_metrics.json"
-        _write_json(metrics_path, _metrics_doc(cfg, d, metrics, traj))
+    with _removed_if_empty(cfg.out_dir):
+        if "csv" in cfg.formats:
+            traj_path = cfg.out_dir / f"{cfg.label}_trajectory.csv"
+            # the CSV keeps a staged name until the analysis has succeeded
+            with _staged(traj_path) as staged:
+                write_trajectory_csv(staged, blocks())
+                metrics = compute_metrics(traj.grid, intensity, d)
+        else:
+            deque(blocks(), maxlen=0)  # keeps no block, unlike a for loop's variable
+            metrics = compute_metrics(traj.grid, intensity, d)
+        if "json" in cfg.formats:
+            metrics_path = cfg.out_dir / f"{cfg.label}_metrics.json"
+            _write_json(metrics_path, _metrics_doc(cfg, d, metrics, traj))
     return RunResult(cfg.label, traj_path, metrics_path, metrics)
 
 

@@ -36,10 +36,10 @@ def _make_rhs(d: DerivedParams):
 def integrate_strong(cfg: RunConfig) -> BlochTrajectory:
     """Integrate the strong-coupling angle equations from cfg.init over [0, cfg.t_end].
 
-    The trajectory keeps the integrator's step record and evaluates the
-    angles from it on demand.  The sample budget cfg.integration.max_samples
-    also caps the accepted steps, so a stiff window cannot run for hours on
-    a small grid.
+    The trajectory keeps the output grid and the integrator's step record,
+    and evaluates the times and angles from them on demand.  The sample
+    budget cfg.integration.max_samples also caps the accepted steps, so a
+    stiff window cannot run for hours on a small grid.
     """
     p, ctrl = cfg.params, cfg.integration
     if p.regime.is_weak_like():

@@ -15,10 +15,12 @@ from superpulse import (
     emission_arrays,
     envelope,
     find_superpulses,
+    integrate_strong,
     resolve,
     sample_weak_solution,
 )
 from superpulse import rk
+from superpulse.bloch import OutputGrid
 from superpulse.pulses import SECH2_FWHM_FACTOR, _local_maxima, _prominences
 
 
@@ -145,14 +147,50 @@ def test_negative_zero_sample_accepted():
     assert find_superpulses(t, np.where(y == 0.0, -0.0, y)) == find_superpulses(t, y)
 
 
-@pytest.mark.parametrize("moved", [rk._BLOCK - 1, rk._BLOCK, rk._BLOCK + 1, 2 * rk._BLOCK + 4])
+@pytest.mark.parametrize(
+    "moved", [4 * rk._BLOCK - 1, 4 * rk._BLOCK, 4 * rk._BLOCK + 1, 8 * rk._BLOCK + 4]
+)
 def test_non_uniform_grid_past_the_first_block_rejected(moved):
     # the spacing is checked block by block; a bad spacing in any block,
     # also across a block boundary or in the partial last one, is refused
-    t = np.linspace(0.0, 1.0, 2 * rk._BLOCK + 5)
+    t = np.linspace(0.0, 1.0, 8 * rk._BLOCK + 5)
     t[moved] += 1e-3 * (t[1] - t[0])
     with pytest.raises(ParameterDomainError, match="uniform time grid"):
         find_superpulses(t, np.ones_like(t))
+
+
+@pytest.mark.parametrize("t", [[5.0, 0.0], [0.0, 0.0], [0.0, math.nan, 2.0], [0.0, math.inf],
+                               [0.0, 1.0, math.inf], [math.nan]])
+def test_non_increasing_or_non_finite_grid_rejected(t):
+    # two samples are enough to be out of order; a NaN time spaces nothing
+    with pytest.raises(ParameterDomainError, match="^t: must be finite and strictly increasing"):
+        find_superpulses(t, np.ones(len(t)))
+
+
+def test_all_zero_record_names_underflow():
+    t = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(EmptyAnalysisError, match="identically zero") as exc:
+        find_superpulses(t, np.zeros_like(t))
+    assert "underflows" in str(exc.value)
+    assert "never emits" not in str(exc.value)
+
+
+@pytest.mark.parametrize("regime", [Regime.DICKE_LIMIT, Regime.STRONG])
+def test_analysis_on_the_output_grid_is_the_analysis_on_its_array(regime):
+    # one pulse (the envelope is the record) and a comb of them
+    p = SampleParams(10_000, 1e6, 0.0, regime=regime)
+    cfg = resolve(p, t_end=2e-4 if regime is Regime.STRONG else None)
+    traj = (sample_weak_solution if regime is Regime.DICKE_LIMIT else integrate_strong)(cfg)
+    assert isinstance(traj.grid, OutputGrid)
+    intensity = emission_arrays(traj)[2]
+    d = derive_params(p)
+    metrics = compute_metrics(traj.grid, intensity, d)
+    assert metrics == compute_metrics(traj.t, intensity, d)
+    assert (metrics.pulse_count_half_height > 1) == (regime is Regime.STRONG)
+    pulses = find_superpulses(traj.grid, intensity)
+    assert pulses == find_superpulses(traj.t, intensity)
+    if len(pulses) == 1:
+        assert envelope(traj.grid, intensity, pulses)[0] is traj.grid
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -526,6 +526,31 @@ def test_cli_run_without_emission_exit_code(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("existing", [None, "out", "out/a"])
+def test_failed_analysis_removes_only_the_directories_it_made(tmp_path, capsys, existing):
+    # theta0 = 1e-300 is no pole, but sin(theta0)^2 underflows: the intensity
+    # is 0 at every sample, so the analysis fails after the CSV was staged
+    if existing:
+        (tmp_path / existing).mkdir(parents=True)
+    out = tmp_path / "out" / "a" / "b"
+    argv = ["preset", "fig2", "--theta0", "1e-300", "--t-end", "1e-4", "--out", str(out)]
+    assert main(argv) == 2
+    left = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*"))
+    assert left == ([] if existing is None else ["out", "out/a"][: existing.count("/") + 1])
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: emission record is identically zero")
+    assert "underflows" in err
+
+
+def test_failed_analysis_keeps_a_directory_that_holds_a_file(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "keep.txt").write_text("kept")
+    argv = ["preset", "fig2", "--theta0", "1e-300", "--t-end", "1e-4", "--out", str(out / "new")]
+    assert main(argv) == 2
+    assert [p.name for p in out.iterdir()] == ["keep.txt"]
+
+
 def test_cli_run_from_the_ground_state_exit_code(tmp_path, capsys, monkeypatch):
     # sin(pi) is 1.2e-16, not 0: the run is refused before integrating
     # instead of measuring pulses on roundoff
@@ -687,22 +712,45 @@ def _execute_peak(cfg: RunConfig) -> tuple[int, int]:
     return json.loads(result.metrics_path.read_text())["samples"], peak
 
 
-def test_run_peak_memory_is_t_intensity_and_a_few_blocks(tmp_path):
+@pytest.fixture(scope="module")
+def fig5_peak(tmp_path_factory):
+    """fig5, 1.01M samples, with the CSV."""
+    out = tmp_path_factory.mktemp("fig5")
+    return _execute_peak(resolve(PRESETS["fig5"], "fig5", out_dir=out))
+
+
+@pytest.fixture(scope="module")
+def long_fig7_peak(tmp_path_factory):
+    """fig7 over 60 times its default window, 1.71M samples, JSON only."""
+    t_end = 60 * resolve(PRESETS["fig7"], "fig7").t_end
+    cfg = resolve(PRESETS["fig7"], "fig7", out_dir=tmp_path_factory.mktemp("fig7"), t_end=t_end)
+    return _execute_peak(replace(cfg, formats=("json",)))
+
+
+def test_run_peak_memory_is_t_intensity_and_a_few_blocks(fig5_peak):
     # fig5 keeps 1.01M samples: a run holds t and the intensity whole, and
     # theta, phi, energy and the CSV's text one block at a time
-    n, peak = _execute_peak(resolve(PRESETS["fig5"], "fig5", out_dir=tmp_path))
+    n, peak = fig5_peak
     assert n > 10**6
     assert peak <= 2 * 8 * n + 6 * 2**20, f"{peak / 2**20:.2f} MiB"
 
 
-def test_weak_run_peak_memory_is_t_intensity_and_a_few_blocks(tmp_path):
+def test_weak_run_peak_memory_is_t_intensity_and_a_few_blocks(long_fig7_peak):
     # fig7 over 60 times its default window: the closed forms' temporaries
     # are one block's, not the grid's
-    t_end = 60 * resolve(PRESETS["fig7"], "fig7").t_end
-    cfg = resolve(PRESETS["fig7"], "fig7", out_dir=tmp_path, t_end=t_end)
-    n, peak = _execute_peak(replace(cfg, formats=("json",)))
+    n, peak = long_fig7_peak
     assert n == 1_705_242
     assert peak <= 2 * 8 * n + 6 * 2**20, f"{peak / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("case", ["fig5_peak", "long_fig7_peak"])
+def test_run_peak_memory_is_intensity_and_a_few_blocks(request, case):
+    # the grid is two numbers, so the intensity is a run's one full-length
+    # array: t, theta, phi, energy, the CSV's text and the analysis's
+    # temporaries exist one block at a time
+    n, peak = request.getfixturevalue(case)
+    assert n > 10**6
+    assert peak <= 8 * n + 3 * 2**20, f"{peak / 2**20:.2f} MiB"
 
 
 def test_run_fills_every_row_once(tmp_path, monkeypatch):

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from superpulse import (
@@ -23,7 +23,7 @@ from superpulse import (
     resolve,
 )
 from superpulse import rk
-from superpulse.bloch import fast_phase_max_step, output_grid
+from superpulse.bloch import OutputGrid, fast_phase_max_step, output_grid
 from superpulse.runner import PRESETS
 from superpulse.strong import _make_rhs
 from twins import cartesian_state, integrate_cartesian, make_cartesian_rhs
@@ -179,6 +179,73 @@ def test_dense_path_peak_memory_is_the_columns_and_a_few_blocks():
         tracemalloc.stop()
     assert len(t) > 10**6
     assert peak <= 5 * 8 * len(t) + 4 * 2**20
+
+
+FIG5_GRID = output_grid(resolve(PRESETS["fig5"]).t_end, derive_params(PRESETS["fig5"]),
+                        IntegrationControl())
+GRID_N = st.one_of(st.sampled_from([1, 2, 3, rk._BLOCK, rk._BLOCK + 1, 2 * rk._BLOCK + 2]),
+                   st.integers(1, 3 * rk._BLOCK))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    t_end=st.one_of(
+        st.just(0.0),
+        # subnormal: t_end / (n - 1) underflows to 0 on a long grid
+        st.integers(1, 1000).map(lambda k: k * 5e-324),
+        st.floats(0.0, 1e300),
+        st.floats(1e300, 1.7976931348623157e308),
+    ),
+    n=GRID_N,
+)
+@example(t_end=5e-324, n=3)
+@example(t_end=1.7976931348623157e308, n=2 * rk._BLOCK + 2)
+@example(t_end=FIG5_GRID.t_end, n=FIG5_GRID.n)
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+def test_output_grid_is_linspace(t_end, n):
+    # near the largest double, linspace's (n - 1) * step overflows before its
+    # last row is set to t_end, and so does the grid's
+    grid, ref = OutputGrid(t_end, n), np.linspace(0.0, t_end, n)
+    assert len(grid) == n
+    assert np.array_equal(_bits(np.asarray(grid)), _bits(ref))
+    if n <= 3 * rk._BLOCK:
+        every = [grid[k] for k in range(-n, n)]  # each row as a negative, then a plain index
+        assert np.array_equal(_bits(every), _bits(ref.tolist() * 2))
+        assert all(type(grid[k]) is float for k in (0, -1, n // 2))
+    for k in (n, -n - 1):
+        with pytest.raises(IndexError):
+            grid[k]
+    edges = [None, 0, 1, rk._BLOCK - 1, rk._BLOCK, rk._BLOCK + 1, n - 1, n, -1, -rk._BLOCK]
+    for lo in edges:
+        for hi in edges:
+            assert np.array_equal(_bits(grid[lo:hi]), _bits(ref[lo:hi])), (lo, hi)
+    for key in (slice(None, None, -1), slice(1, None, 3), slice(-2, 0, -rk._BLOCK)):
+        assert np.array_equal(_bits(grid[key]), _bits(ref[key])), key
+
+
+@pytest.mark.parametrize("preset", ["fig2", "fig8"])
+def test_doubled_coupling_only_halves_the_time(preset):
+    # the mean field takes the coupling only as 1+alpha on both rates, so a
+    # run at 1+alpha = 2 is the alpha = 0 run in the time 2t; scaling by a
+    # power of two rounds nothing, so the identity holds bit for bit
+    n_atoms, omega0 = PRESETS[preset].n_atoms, PRESETS[preset].omega0
+    runs = []
+    for g in (0.0, omega0 / (2 * n_atoms)):
+        p = SampleParams(n_atoms, omega0, g, regime=Regime.STRONG)
+        cfg = resolve(p)
+        traj = integrate_strong(cfg)
+        t, energy, intensity = emission_arrays(traj)
+        metrics = compute_metrics(traj.grid, intensity, derive_params(p))
+        runs.append((cfg.t_end, traj, t, energy, intensity, metrics))
+    (t_end0, traj0, t0, e0, i0, m0), (t_end1, traj1, t1, e1, i1, m1) = runs
+    assert derive_params(traj1.sample_params).alpha == 1.0
+    assert len(traj0) == len(traj1) > 500
+    assert traj0.stats == traj1.stats
+    assert t_end1 == t_end0 / 2
+    for a, b in ((traj0.theta, traj1.theta), (traj0.phi, traj1.phi),
+                 (t0 / 2, t1), (2 * e0, e1), (4 * i0, i1)):
+        assert np.array_equal(_bits(a), _bits(b))
+    assert m0.ratios == m1.ratios
 
 
 def test_weak_like_config_refused():
