@@ -15,12 +15,14 @@ intensity is mostly zeros and subnormals), two configs that override
 the regime classifier (CLASSIFIER_OVERRIDES: the weak closed form at
 fig1's parameters, the strong equations at a weak-classified point) and
 `simulate oracle --n 10` and `--n 100`, plus ten commands the program
-must refuse (REFUSALS) and a config it must refuse (a Dicke limit with
-g > 0), under REV's package and under the working tree's, each command in
-its own subprocess and fresh output directory.  Every file written is
-compared byte for byte.  Exits 1 when a command's exit code is not the
-expected one on either side, its stdout or stderr differs, a refused
-command writes a file, or any file differs or exists on one side only.
+must refuse (REFUSALS), a config it must refuse (a Dicke limit with
+g > 0) and a config whose integration spends its step budget (exit 3,
+the integrator's failure path), under REV's package and under the
+working tree's, each command in its own subprocess and fresh output
+directory.  Every file written is compared byte for byte.  Exits 1 when
+a command's exit code is not the expected one on either side, its stdout
+or stderr differs, a refused command writes a file, or any file differs
+or exists on one side only.
 A differing CSV's line also counts the rows that differ and gives, per
 column, the largest difference over the column's largest magnitude.  The
 summary line also gives the line count of src/**/*.py in both trees.
@@ -75,6 +77,10 @@ CLASSIFIER_OVERRIDES = {
 }
 # a config document that must be refused with exit 2: the Dicke limit needs g = 0
 DICKE_WITH_G = {"params": {"n_atoms": 10_000, "omega0": 1e6, "g": 100}, "regime": "dicke"}
+# a config that must exit 3: at N = 1e9 the stiff polar mode holds the steps
+# far below the grid's spacing, and 1000 accepted steps end at t = 2.9e-12
+STEP_BUDGET = {"params": {"n_atoms": 1_000_000_000, "omega0": 1e4, "g": 10.0}, "t_end": 1e-10,
+               "integration": {"max_samples": 1000}}
 
 
 def write_config(path: Path, doc: dict) -> list[str]:
@@ -156,6 +162,7 @@ def main(rev: str) -> int:
         commands += [["oracle", "--n", "10"], ["oracle", "--n", "100"]]
         commands = [(argv, 0) for argv in commands] + REFUSALS
         commands.append((write_config(tmp / "dicke_with_g.json", DICKE_WITH_G), 2))
+        commands.append((write_config(tmp / "step_budget.json", STEP_BUDGET), 3))
 
         problems, rss = [], []
         n_files = n_same = 0

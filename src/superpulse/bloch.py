@@ -10,8 +10,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterDomainError, SampleBudgetError
-from .params import (DerivedParams, SampleParams, check_finite, check_integer, derive_params,
-                     is_finite, short_repr)
+from .params import (DerivedParams, SampleParams, check_finite, check_integer, check_not_bool,
+                     derive_params, is_finite, short_repr)
 
 # canonical initial azimuth: sin(phi)^2 = 1, maximal initial emission channel
 DEFAULT_PHI0 = math.pi / 2
@@ -32,6 +32,8 @@ class BlochState:
     phi: float
 
     def __post_init__(self):
+        check_not_bool("theta", self.theta)
+        check_not_bool("phi", self.phi)
         if not -1e-12 <= self.theta <= math.pi + 1e-12:
             raise ParameterDomainError(
                 "theta", f"must lie in [0, pi], got {short_repr(self.theta)}"

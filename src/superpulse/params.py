@@ -10,6 +10,8 @@ import math
 from dataclasses import dataclass, fields
 from enum import Enum
 
+import numpy as np
+
 from .errors import ParameterDomainError
 
 # Classifier threshold on N*gamma/omega0; the boundary itself counts as strong.
@@ -41,8 +43,15 @@ def short_repr(x) -> str:
     return repr(x)
 
 
+def check_not_bool(name: str, x) -> None:
+    """A ParameterDomainError naming the field if x is a bool: True would pass as 1."""
+    if isinstance(x, (bool, np.bool_)):
+        raise ParameterDomainError(name, f"must be a number, not a bool, got {x!r}")
+
+
 def check_integer(name: str, x) -> int:
     """x as an int, or a ParameterDomainError naming the field if x is no finite integer."""
+    check_not_bool(name, x)
     if not (is_finite(x) and float(x).is_integer()):
         raise ParameterDomainError(name, f"must be an integer, got {short_repr(x)}")
     return int(x)
@@ -51,6 +60,7 @@ def check_integer(name: str, x) -> int:
 def check_finite(name: str, x, positive: bool = True) -> float:
     """x as a float, or a ParameterDomainError naming the field unless x is finite and > 0
     (>= 0 when not positive)."""
+    check_not_bool(name, x)
     if not (is_finite(x) and (x > 0 if positive else x >= 0)):
         bound = "positive" if positive else "non-negative"
         raise ParameterDomainError(name, f"must be finite and {bound}, got {short_repr(x)}")
@@ -95,6 +105,7 @@ class SampleParams:
         # the checks' floats are dropped: an int omega0 or g is kept, and recorded, as given
         check_finite("omega0", self.omega0)
         check_finite("g", self.g, positive=False)
+        check_not_bool("gamma", self.gamma)
         if self.gamma != 1.0:
             raise ParameterDomainError(
                 "gamma",

@@ -13,17 +13,19 @@ kept.  That is the rounding of a plain float loop (and of sum() before
 Python 3.12, whose sum() compensates), so results do not depend on the
 interpreter version.
 
-Every accepted step is recorded (start time, size, state and stages).
-dense_output evaluates the pair's matched quartic dense-output polynomial
-of that record on any rows of an output grid, in fixed blocks of points,
-so interpolated values carry the same accuracy as the step endpoints, and
-they depend only on the step sequence, never on the grid, the rows or the
-blocks.
+Every accepted step is recorded (start time, size, state and stages): the
+step kernel packs that row as doubles, named one by one, and solve appends
+the bytes to one buffer.  dense_output evaluates the pair's matched quartic
+dense-output polynomial of that record on any rows of an output grid, in
+fixed blocks of points, so interpolated values carry the same accuracy as
+the step endpoints, and they depend only on the step sequence, never on
+the grid, the rows or the blocks.
 """
 from __future__ import annotations
 
 import math
-from array import array
+import struct
+import sys
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Sequence
@@ -65,6 +67,10 @@ _PI_ALPHA = 0.17
 _PI_BETA = 0.04
 
 _MAX_CONSECUTIVE_REJECTS = 64
+
+# the step-size floor is _TINY * t_end, 16 ulp at t_end: inside the loop
+# 0 <= t < t_end, so t_end is the larger of |t| and t_end
+_TINY = 16.0 * sys.float_info.epsilon
 
 # grid points per block of the dense path (grid rows, fill, observables, CSV
 # columns, pulse grid check and maxima): a run holds about a dozen arrays of
@@ -112,31 +118,33 @@ def solve(
     h = min(max_step, 0.01 * d0 / d1, t_end)
 
     # per accepted step: start time, size, start state and the seven stages
-    steps = array("d")
+    steps = bytearray()
     n_acc = 0
     n_rej = 0
     rejects_in_a_row = 0
     err_prev = 1e-4
     max_err = 0.0
-    eps = np.finfo(float).eps
+    min_step = _TINY * t_end
 
+    # per step, x if x > m else m is max(m, x) and x if x < m else m is
+    # min(m, x), NaN included, without the builtin call
     while t < t_end:
         if n_acc >= max_steps:
             raise IntegrationFailure(f"step budget of {max_steps} accepted steps spent", t, y)
         final_step = h >= t_end - t
         if final_step:
             h = t_end - t
-        if h < 16.0 * eps * max(abs(t), t_end):
+        if h < min_step:
             raise IntegrationFailure("step size underflow", t, y)
 
-        z, ks, err = step(rhs, t, h, y, f, atol, rtol)
+        z, f_end, err, row = step(rhs, t, h, y, f, atol, rtol)
 
         if err <= 1.0:
-            steps.extend((t, h, *y, *ks))
+            steps += row
             # land exactly on t_end; t + h can fall an ulp short of it
             t = t_end if final_step else t + h
             y = z
-            f = ks[-ndim:]
+            f = f_end
             n_acc += 1
             rejects_in_a_row = 0
             if err > max_err:
@@ -145,9 +153,11 @@ def solve(
                 factor = _MAX_FACTOR
             else:
                 factor = _SAFETY * err ** -_PI_ALPHA * err_prev ** _PI_BETA
-                factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-            err_prev = max(err, 1e-4)
-            h = min(h * factor, max_step)
+                factor = factor if factor > _MIN_FACTOR else _MIN_FACTOR
+                factor = factor if factor < _MAX_FACTOR else _MAX_FACTOR
+            err_prev = err if err > 1e-4 else 1e-4
+            h *= factor
+            h = max_step if max_step < h else h
         else:
             n_rej += 1
             rejects_in_a_row += 1
@@ -166,10 +176,11 @@ def solve(
 
 
 def _step_source(ndim: int) -> str:
-    """Source of step(rhs, t, h, y, f, atol, rtol) -> (z, stages, err) for ndim components.
+    """Source of step(rhs, t, h, y, f, atol, rtol) -> (z, f_end, err, row) for ndim components.
 
-    stages holds the seven stages flattened stage-major; err is the RMS of
-    the scaled error components.
+    f_end is the last stage, the derivative at z; err is the RMS of the
+    scaled error components; row is the step's record, (t, h, y and the
+    seven stages stage-major) packed as doubles by the namespace's pack.
     """
     comps = range(ndim)
 
@@ -189,20 +200,24 @@ def _step_source(ndim: int) -> str:
         lines.append(f"    {names(f'k{s}_')}, = rhs(t + {_C[s]!r} * h, {args})")
     lines += [f"    z{i} = y{i} + h * ({combo(_B, i)})" for i in comps]
     lines.append(f"    {names('k6_')}, = rhs(t + h, {names('z')})")
-    lines += [
-        f"    r{i} = h * ({combo(_E, i)}) / (atol + rtol * max(abs(y{i}), abs(z{i})))"
-        for i in comps
-    ]
+    for i in comps:
+        # max(|y|, |z|) as a comparison, with the builtin's rule
+        lines += [
+            f"    ay{i}, az{i} = abs(y{i}), abs(z{i})",
+            f"    r{i} = h * ({combo(_E, i)})"
+            f" / (atol + rtol * (az{i} if az{i} > ay{i} else ay{i}))",
+        ]
     stages = ", ".join(f"k{j}_{i}" for j in range(7) for i in comps)
     squares = " + ".join(["0.0"] + [f"r{i} * r{i}" for i in comps])
-    lines.append(f"    return ({names('z')},), ({stages},), sqrt(({squares}) / {ndim})")
+    lines.append(f"    return ({names('z')},), ({names('k6_')},), sqrt(({squares}) / {ndim}),"
+                 f" pack(t, h, {names('y')}, {stages})")
     return "\n".join(lines) + "\n"
 
 
 @cache
 def _step_kernel(ndim: int):
     """The generated step function for ndim state components (see _step_source)."""
-    namespace = {"sqrt": math.sqrt}
+    namespace = {"sqrt": math.sqrt, "pack": struct.Struct(f"{2 + 8 * ndim}d").pack}
     exec(compile(_step_source(ndim), f"<dp5 step, ndim={ndim}>", "exec"), namespace)
     return namespace["step"]
 

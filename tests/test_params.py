@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -83,6 +84,11 @@ def test_regime_override_is_respected():
         (dict(n_atoms=10_000, omega0=1e-310, g=1.0), "alpha"),
         (dict(n_atoms=100, omega0=1e6, g=10**400), "g"),
         (dict(n_atoms=100, omega0=1e6, gamma=10**400), "gamma"),
+        # a bool would pass as 1 or 0 and be kept as the bool
+        (dict(n_atoms=10, omega0=True), "omega0"),
+        (dict(n_atoms=100, omega0=1e6, g=np.False_), "g"),
+        (dict(n_atoms=100, omega0=1e6, gamma=True), "gamma"),
+        (dict(n_atoms=np.True_, omega0=1e6), "n_atoms"),
     ],
 )
 def test_invalid_params_name_the_field(kwargs, field):

@@ -456,6 +456,16 @@ def test_cli_flag_does_not_hide_a_bad_config_value(tmp_path, capsys, changes, fl
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, field", [("rtol", "rtol"), ("t_end", "t_end"),
+                                        ("theta0", "theta"), ("phi0", "phi")])
+def test_library_flag_keyword_refuses_a_bool(tmp_path, key, field):
+    # run_preset("fig2", rtol=True) ran at rtol = 1 and wrote "rtol": true
+    with pytest.raises(ParameterDomainError, match=f"^{field}: .* not a bool") as exc:
+        run_preset("fig2", out_dir=tmp_path / "out", **{key: True})
+    assert exc.value.field == field
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_phi0_whose_double_overflows_exit_code(tmp_path, capsys):
     # finite, but 2*phi0 is inf and the strong equations take sin(2 phi)
     path = write_config(tmp_path, dict(FAST_CONFIG, regime="strong"))

@@ -1,6 +1,8 @@
 import math
 import tracemalloc
+from array import array
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 import pytest
@@ -223,27 +225,41 @@ def test_output_grid_is_linspace(t_end, n):
         assert np.array_equal(_bits(grid[key]), _bits(ref[key])), key
 
 
-@pytest.mark.parametrize("preset", ["fig2", "fig8"])
-def test_doubled_coupling_only_halves_the_time(preset):
-    # the mean field takes the coupling only as 1+alpha on both rates, so a
-    # run at 1+alpha = 2 is the alpha = 0 run in the time 2t; scaling by a
-    # power of two rounds nothing, so the identity holds bit for bit
+@cache
+def _coupled_run(preset, enhancement):
+    """(t_end, trajectory, t, energy, intensity, metrics) at preset's (N, omega0)
+    with 1+alpha = enhancement."""
     n_atoms, omega0 = PRESETS[preset].n_atoms, PRESETS[preset].omega0
-    runs = []
-    for g in (0.0, omega0 / (2 * n_atoms)):
-        p = SampleParams(n_atoms, omega0, g, regime=Regime.STRONG)
-        cfg = resolve(p)
-        traj = integrate_strong(cfg)
-        t, energy, intensity = emission_arrays(traj)
-        metrics = compute_metrics(traj.grid, intensity, derive_params(p))
-        runs.append((cfg.t_end, traj, t, energy, intensity, metrics))
-    (t_end0, traj0, t0, e0, i0, m0), (t_end1, traj1, t1, e1, i1, m1) = runs
-    assert derive_params(traj1.sample_params).alpha == 1.0
+    p = SampleParams(n_atoms, omega0, (enhancement - 1) * omega0 / (2 * n_atoms),
+                     regime=Regime.STRONG)
+    assert derive_params(p).alpha == enhancement - 1
+    cfg = resolve(p)
+    traj = integrate_strong(cfg)
+    t, energy, intensity = emission_arrays(traj)
+    return cfg.t_end, traj, t, energy, intensity, compute_metrics(traj.grid, intensity,
+                                                                  derive_params(p))
+
+
+@pytest.mark.parametrize("preset, enhancement", [
+    pytest.param("fig2", 2, id="fig2"),
+    pytest.param("fig8", 2, id="fig8"),
+    pytest.param("fig1", 2, id="fig1"),
+    pytest.param("fig2", 4, id="fig2-x4"),
+    pytest.param("fig2", 8, id="fig2-x8"),
+])
+def test_doubled_coupling_only_halves_the_time(preset, enhancement):
+    # the mean field takes the coupling only as 1+alpha on both rates, so a
+    # run at 1+alpha = k is the alpha = 0 run in the time k*t; scaling by a
+    # power of two rounds nothing, so the identity holds bit for bit, through
+    # the step controller's clamps, its underflow floor and the step record
+    k = enhancement
+    t_end0, traj0, t0, e0, i0, m0 = _coupled_run(preset, 1)
+    t_end1, traj1, t1, e1, i1, m1 = _coupled_run(preset, k)
     assert len(traj0) == len(traj1) > 500
     assert traj0.stats == traj1.stats
-    assert t_end1 == t_end0 / 2
+    assert t_end1 == t_end0 / k
     for a, b in ((traj0.theta, traj1.theta), (traj0.phi, traj1.phi),
-                 (t0 / 2, t1), (2 * e0, e1), (4 * i0, i1)):
+                 (t0 / k, t1), (k * e0, e1), (k * k * i0, i1)):
         assert np.array_equal(_bits(a), _bits(b))
     assert m0.ratios == m1.ratios
 
@@ -260,19 +276,31 @@ def test_sample_budget_guard():
         integrate_strong(replace(resolve(P_FIG1), integration=IntegrationControl(max_samples=1000)))
 
 
-@pytest.mark.parametrize(
-    "cls, field",
+# each checked field of the integration inputs, and the other arguments its check needs
+CHECKED_FIELDS = (
     [(IntegrationControl, f) for f in ("rtol", "atol", "max_samples", "max_step")]
     + [(BlochState, f) for f in ("theta", "phi")]
-    + [(output_grid, "t_end")],
+    + [(output_grid, "t_end")]
 )
+OTHER_ARGS = {BlochState: {"theta": 0.5, "phi": 0.0},
+              output_grid: {"d": D_FIG1, "ctrl": IntegrationControl()}}
+
+
+@pytest.mark.parametrize("cls, field", CHECKED_FIELDS)
 def test_integers_beyond_float_range_are_spelled_short(cls, field):
-    kwargs = {BlochState: {"theta": 0.5, "phi": 0.0},
-              output_grid: {"d": D_FIG1, "ctrl": IntegrationControl()}}.get(cls, {})
+    kwargs = OTHER_ARGS.get(cls, {})
     with pytest.raises(ParameterDomainError, match=f"^{field}: ") as exc:
         cls(**{**kwargs, field: 10**400})
     # the value is spelled short, not as its 401 digits
     assert "1.00e+400" in str(exc.value) and len(str(exc.value)) < 120
+
+
+@pytest.mark.parametrize("cls, field", CHECKED_FIELDS)
+@pytest.mark.parametrize("flag", [True, np.True_])
+def test_bools_refused_by_name(cls, field, flag):
+    # True passed every check as 1 and was kept as the bool
+    with pytest.raises(ParameterDomainError, match=f"^{field}: .* not a bool"):
+        cls(**{**OTHER_ARGS.get(cls, {}), field: flag})
 
 
 def test_step_budget_stops_a_stiff_window():
@@ -339,10 +367,105 @@ def test_generated_step_matches_the_plain_tableau_loop(cartesian, angles, t, h):
     else:
         rhs, y = RHS_FIG1, (theta, phi)
     f = rhs(t, *y)
-    got = rk._step_kernel(len(y))(rhs, t, h, y, f, 1e-12, 1e-9)
-    want = plain_dp5_step(rhs, t, h, y, f, 1e-12, 1e-9)
-    for a, b in zip(got, want):  # z, the seven stages, the error
-        assert np.array_equal(_bits(a), _bits(b))
+    z, f_end, err, row = rk._step_kernel(len(y))(rhs, t, h, y, f, 1e-12, 1e-9)
+    want_z, want_stages, want_err = plain_dp5_step(rhs, t, h, y, f, 1e-12, 1e-9)
+    assert np.array_equal(_bits(z), _bits(want_z))
+    assert np.array_equal(_bits(f_end), _bits(want_stages[-len(y):]))
+    assert _bits(err) == _bits(want_err)
+    # the record row: start time, size, start state and the seven stages
+    assert np.array_equal(_bits(np.frombuffer(row)), _bits([t, h, *y, *want_stages]))
+
+
+def plain_solve(rhs, y0, t_end, rtol, atol, max_step, max_steps=math.inf):
+    """rk.solve's loop written with builtin min and max, numpy's eps and an
+    array("d") record, driving plain_dp5_step."""
+    ndim = len(y0)
+    t_end = float(t_end)
+    y = tuple(float(v) for v in y0)
+    t = 0.0
+    f = rhs(t, *y)
+    d0 = max(max(abs(v) for v in y), 1e-8)
+    d1 = max(max(abs(v) for v in f), 1e-8)
+    h = min(max_step, 0.01 * d0 / d1, t_end)
+    steps = array("d")
+    n_acc = n_rej = rejects_in_a_row = 0
+    err_prev = 1e-4
+    max_err = 0.0
+    eps = np.finfo(float).eps
+    while t < t_end:
+        if n_acc >= max_steps:
+            raise IntegrationFailure(f"step budget of {max_steps} accepted steps spent", t, y)
+        final_step = h >= t_end - t
+        if final_step:
+            h = t_end - t
+        if h < 16.0 * eps * max(abs(t), t_end):
+            raise IntegrationFailure("step size underflow", t, y)
+        z, ks, err = plain_dp5_step(rhs, t, h, y, f, atol, rtol)
+        if err <= 1.0:
+            steps.extend((t, h, *y, *ks))
+            t = t_end if final_step else t + h
+            y = z
+            f = ks[-ndim:]
+            n_acc += 1
+            rejects_in_a_row = 0
+            max_err = max(max_err, err)
+            if err == 0.0:
+                factor = rk._MAX_FACTOR
+            else:
+                factor = rk._SAFETY * err ** -rk._PI_ALPHA * err_prev ** rk._PI_BETA
+                factor = min(rk._MAX_FACTOR, max(rk._MIN_FACTOR, factor))
+            err_prev = max(err, 1e-4)
+            h = min(h * factor, max_step)
+        else:
+            n_rej += 1
+            rejects_in_a_row += 1
+            if rejects_in_a_row > rk._MAX_CONSECUTIVE_REJECTS:
+                raise IntegrationFailure("error estimate will not settle", t, y)
+            if math.isfinite(err):
+                h *= max(rk._MIN_FACTOR, rk._SAFETY * err ** -0.2)
+            else:
+                h *= rk._MIN_FACTOR
+    rec = np.frombuffer(steps).reshape(n_acc, 2 + 8 * ndim)
+    return rk.RKResult(n_acc, n_rej, max_err, np.append(rec[:, 0], t),
+                       [np.append(rec[:, 2 + i], y[i]) for i in range(ndim)], rec[:, 1],
+                       rec[:, 2 + ndim:].reshape(n_acc, 7, ndim))
+
+
+def _outcome(solver, *args):
+    """solver's RKResult as comparable bits, or its IntegrationFailure's message, time and state."""
+    try:
+        res = solver(*args)
+    except IntegrationFailure as exc:
+        return str(exc), _bits(exc.t).tolist(), _bits(exc.state).tolist()
+    arrays = [res.step_times, *res.step_values, res.step_sizes, res.stages]
+    return (res.n_accepted, res.n_rejected, _bits(res.max_error_ratio).tolist(),
+            [(a.shape, _bits(a).tolist()) for a in arrays])
+
+
+P2_RHS = {2: _make_rhs(derive_params(P_FIG2)), 3: make_cartesian_rhs(derive_params(P_FIG2))}
+P2_CAP = fast_phase_max_step(derive_params(P_FIG2), IntegrationControl())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ndim=st.sampled_from([2, 3]),
+    angles=st.tuples(st.floats(1e-6, math.pi - 1e-6), st.floats(-10.0, 10.0)),
+    rtol=st.floats(1e-10, 1e-5),
+    # fig2's phase turns in about 3e-6: from a few steps to a few hundred,
+    # where an uncapped step meets rejects
+    t_end=st.floats(1e-7, 2e-5),
+    max_step=st.sampled_from([P2_CAP, math.inf]),
+    max_steps=st.one_of(st.just(math.inf), st.integers(0, 60)),
+)
+@example(ndim=2, angles=(0.5, 0.3), rtol=1e-7, t_end=1e-5, max_step=math.inf,
+         max_steps=math.inf)  # 50 accepted steps, 7 rejects
+@example(ndim=3, angles=(0.5, 0.3), rtol=1e-10, t_end=1e-5, max_step=P2_CAP,
+         max_steps=math.inf)  # 680 accepted steps, 10 rejects
+def test_solve_matches_the_plain_loop(ndim, angles, rtol, t_end, max_step, max_steps):
+    theta, phi = angles
+    y = (theta, phi) if ndim == 2 else cartesian_state(BlochState(theta, phi))
+    args = (P2_RHS[ndim], y, t_end, rtol, rtol * 1e-3, max_step, max_steps)
+    assert _outcome(rk.solve, *args) == _outcome(plain_solve, *args)
 
 
 # --- cartesian diagnostic twin -------------------------------------------
